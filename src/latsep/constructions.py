@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .convexity import _triangle_points_2d
+from .convexity import simplex_lattice_points
 from .errors import DimensionMismatchError, EmptyInteriorError
 from .geometry import PointSet
 
@@ -56,7 +56,7 @@ class MinimalTriangle:
         lattice-free edges these are exactly the interior points."""
         verts = set(self.vertices())
         return sorted(
-            z for z in _triangle_points_2d(self.a1, self.a2, self.a3) if z not in verts
+            z for z in simplex_lattice_points(self.vertices()) if z not in verts
         )
 
 

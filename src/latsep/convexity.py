@@ -6,6 +6,11 @@ unions of hulls of smaller subsets (Caratheodory inside the subset's own
 affine span), which the sweep enumerates anyway.  Lattice points of the
 surviving simplices are counted with integer arithmetic specialised by
 dimension, so the closures stay fast enough for exhaustive testing.
+
+The k=2 closure is target-driven instead: every point it can add is a
+lattice point of conv(S), so it tests those candidates one by one with
+an integer kernel that finds at most 3 current points whose hull holds
+the candidate (see the algorithm notes in docs/).
 """
 
 from __future__ import annotations
@@ -159,9 +164,81 @@ def simplex_lattice_points(points: tuple[IntPoint, ...]):
 
 
 def _affinely_independent(points) -> bool:
+    if len(points) == 2:
+        return points[0] != points[1]
     base = points[0]
     diffs = [tuple(x - b for x, b in zip(p, base)) for p in points[1:]]
+    if len(points) == 3:
+        u, v = diffs
+        return any(u[i] * v[j] != u[j] * v[i] for i, j in combinations(range(len(u)), 2))
     return linalg.rank(diffs) == len(diffs)
+
+
+# ---------------------------------------------------------------------------
+# target-driven closure: is a candidate in the hull of <= 3 current points?
+
+def _primitive(v: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(v / g, g) for g the gcd of the entries; g == 0 for the zero vector."""
+    g = gcd(*v)
+    return (tuple(c // g for c in v) if g > 1 else v), g
+
+
+def _hull_support(z: IntPoint, pts) -> tuple[IntPoint, ...] | None:
+    """At most 3 points of ``pts`` whose convex hull contains ``z``, or
+    None when there are none; ``z`` must not be one of ``pts``.
+
+    Integer arithmetic only, O(N^2) for N points.  Segment step: z lies
+    on a segment exactly when two vectors p - z have opposite primitive
+    directions.  Triangle step: for v = p - z, each later w = q - z is
+    bucketed by the primitive part u of its projection
+    <v,v>w - <v,w>v orthogonal to v, with gcd g, keeping the least
+    <v,w>/g per bucket; z lies in a triangle with first vertex p exactly
+    when min(u) + min(-u) <= 0 for some bucket u.
+    """
+    vecs = [(p, tuple(a - b for a, b in zip(p, z))) for p in pts]
+    directions: dict[tuple[int, ...], IntPoint] = {}
+    for p, v in vecs:
+        u, _ = _primitive(v)
+        q = directions.get(tuple(-c for c in u))
+        if q is not None:
+            return (q, p)
+        directions.setdefault(u, p)
+    for i, (p, v) in enumerate(vecs):
+        vv = sum(c * c for c in v)
+        lows: dict[tuple[int, ...], tuple[int, int, IntPoint]] = {}
+        for q, w in vecs[i + 1:]:
+            vw = sum(a * b for a, b in zip(v, w))
+            u, g = _primitive(tuple(vv * b - vw * a for a, b in zip(v, w)))
+            if g == 0:
+                continue  # q on the line through z and p
+            low = lows.get(u)
+            if low is None or vw * low[1] < low[0] * g:
+                lows[u] = (vw, g, q)
+        for u, (s, g, q) in lows.items():
+            opposite = lows.get(tuple(-c for c in u))
+            if opposite is not None and s * opposite[1] + opposite[0] * g <= 0:
+                return (p, q, opposite[2])
+    return None
+
+
+def _candidate_closure(s: PointSet, candidates) -> PointSet:
+    """Fixed point of the k=2 closure step, given every lattice point it
+    could add (a superset of the additions is enough, e.g. the lattice
+    points of conv(s)).  Candidates are retested until a full pass adds
+    none, because each addition can bring others within reach."""
+    current = list(s.points)
+    pending = [z for z in candidates if z not in s]
+    while True:
+        left = []
+        for z in pending:
+            if _hull_support(z, current) is None:
+                left.append(z)
+            else:
+                current.append(z)
+        if len(left) == len(pending):
+            break
+        pending = left
+    return PointSet(s.dim, tuple(sorted(current)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +317,8 @@ def k_convex_hull(s: PointSet, k: int) -> PointSet:
     _, basis = affine_hull_basis(s)
     if k >= len(basis):
         return lattice_points_in_conv(s)
+    if k == 2:
+        return _candidate_closure(s, lattice_points_in_conv(s).points)
     return _closure_sweep(s, k)
 
 
@@ -361,16 +440,20 @@ def classify_holes(a: PointSet) -> list[HoleReport]:
     holes = [z for z in full.points if z not in members]
     if not holes:
         return []
-    reports: dict[IntPoint, int] = {}
+    _, basis = affine_hull_basis(a)
+    rank = len(basis)
+    first_k: dict[IntPoint, int] = {}
     hull = a
-    for k in range(1, a.dim + 1):
-        hull = k_convex_hull(hull, k)
-        got = hull.member_set()
+    # The k-hull of the (k-1)-hull is the k-hull of A, and the k = rank
+    # hull is all of conv(A), so holes left by k = rank - 1 get k = rank.
+    for k in range(1, rank):
+        if k == 2:
+            hull = _candidate_closure(hull, [z for z in holes if z not in first_k])
+        else:
+            hull = _closure_sweep(hull, k)
         for z in holes:
-            if z not in reports and z in got:
-                reports[z] = k
-        if len(reports) == len(holes):
+            if z not in first_k and z in hull:
+                first_k[z] = k
+        if len(first_k) == len(holes):
             break
-    if len(reports) != len(holes):
-        raise AssertionError("hole unclassified beyond k = dim; closure is broken")
-    return [HoleReport(z, reports[z]) for z in sorted(reports)]
+    return [HoleReport(z, first_k.get(z, rank)) for z in holes]

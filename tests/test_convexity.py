@@ -1,10 +1,15 @@
 """k-convexity, hulls, integral convexity, hole classification."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latsep.convexity import (
+    _closure_sweep,
+    _hull_support,
     classify_holes,
     is_hole_free,
     is_integrally_convex,
@@ -13,7 +18,12 @@ from latsep.convexity import (
     simplex_lattice_points,
 )
 from latsep.errors import UnsupportedDimensionError
-from latsep.geometry import PointSet, lattice_points_in_conv, point_in_conv
+from latsep.geometry import (
+    PointSet,
+    affine_hull_basis,
+    lattice_points_in_conv,
+    point_in_conv,
+)
 
 from oracles import oracle_integrally_convex_2d, oracle_one_convex
 
@@ -116,8 +126,6 @@ class TestKConvex:
 class TestKConvexHull:
     def test_dim_closure_equals_lattice_points(self):
         # the raw sweep at k = dim must agree with box-plus-membership
-        from latsep.convexity import _closure_sweep
-
         rng = random.Random(3)
         for _ in range(8):
             pts = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(4)]
@@ -259,3 +267,106 @@ class TestClassifyHoles:
         assert reports[(2, 1, 1)] == 2
         assert reports[(1, 1, 1)] == 1
         assert all(1 <= k <= 3 for k in reports.values())
+
+
+def _random_spanning_sets(seed, count, size_range, hi):
+    """Seeded random point sets of Z^3 whose affine hull is 3-dimensional."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        size = rng.randint(*size_range)
+        s = PointSet.of([tuple(rng.randint(0, hi) for _ in range(3)) for _ in range(size)])
+        if len(affine_hull_basis(s)[1]) == 3:
+            out.append(s)
+    return out
+
+
+class TestTargetDrivenClosure:
+    """The candidate-driven k=2 closure against the subset sweep it
+    replaces."""
+
+    def test_two_hull_matches_sweep_on_random_3d_sets(self):
+        strict = 0
+        for s in _random_spanning_sets(2, 200, (4, 5), 4):
+            hull = k_convex_hull(s, 2)
+            assert hull == _closure_sweep(s, 2)
+            # conv(s) is the union of its full-dimensional tetrahedra
+            full = {
+                z
+                for tet in combinations(s.points, 4)
+                if len(affine_hull_basis(PointSet.of(tet))[1]) == 3
+                for z in simplex_lattice_points(tet)
+            }
+            strict += len(hull) < len(full)
+        assert strict > 0  # some 2-hulls stop short of conv(s)
+
+    def test_classify_holes_matches_sweep_tower(self):
+        seen_k = set()
+        for s in _random_spanning_sets(4, 40, (4, 4), 5):
+            tower = [set(s.points)]
+            hull = s
+            for k in (1, 2):
+                hull = _closure_sweep(hull, k)
+                tower.append(set(hull.points))
+            tower.append(set(lattice_points_in_conv(s).points))
+            want = {
+                z: next(k for k in (1, 2, 3) if z in tower[k])
+                for z in tower[3] - tower[0]
+            }
+            got = {r.hole: r.first_k for r in classify_holes(s)}
+            assert got == want
+            seen_k |= set(want.values())
+        assert seen_k == {1, 2, 3}
+
+    def test_classify_holes_lower_rank(self):
+        # a planar set in Z^3: holes the 1-hull misses get k = rank = 2
+        s = PointSet.of([(0, 0, 1), (2, 1, 1), (1, 2, 1)])
+        assert [(r.hole, r.first_k) for r in classify_holes(s)] == [((1, 1, 1), 2)]
+        # a segment: every hole is reached at k = rank = 1
+        s = PointSet.of([(0, 0, 0), (3, 3, 0)])
+        assert [r.first_k for r in classify_holes(s)] == [1, 1]
+
+
+_OFFSET = st.integers(-2, 2)
+
+
+@st.composite
+def _kernel_case(draw):
+    """A point z and up to 8 other points, given by their offsets from z;
+    half the cases include three offsets a, b, -a-b, so that z is the
+    centroid of a triangle."""
+    dim = draw(st.integers(2, 3))
+    offset = st.tuples(*[_OFFSET] * dim)
+    z = draw(st.tuples(*[_OFFSET] * dim))
+    offsets = draw(st.lists(offset, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        a, b = draw(offset), draw(offset)
+        offsets += [a, b, tuple(-x - y for x, y in zip(a, b))]
+    pts = sorted({tuple(x + y for x, y in zip(z, o)) for o in offsets if any(o)})
+    assume(pts)
+    return z, pts
+
+
+class TestHullSupportKernel:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_kernel_case())
+    def test_support_is_sound_and_complete(self, case):
+        z, pts = case
+        support = _hull_support(z, pts)
+        if support is not None:
+            assert 2 <= len(support) <= 3
+            assert set(support) <= set(pts)
+            assert point_in_conv(z, PointSet.of(support))
+        else:
+            # hulls of smaller subsets lie inside those of the largest ones
+            size = min(3, len(pts))
+            assert not any(
+                point_in_conv(z, PointSet.of(sub)) for sub in combinations(pts, size)
+            )
+
+    def test_segment_and_triangle_supports(self):
+        assert set(_hull_support((1, 1), [(0, 0), (3, 0), (2, 2)])) == {(0, 0), (2, 2)}
+        tetra = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)]
+        assert set(_hull_support((1, 1, 1), tetra)) == set(tetra[1:])
+        small = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
+        assert _hull_support((1, 1, 1), small) is None
