@@ -426,6 +426,18 @@ def _cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
+def _positive_int(text: str) -> int:
+    """argparse type for --k.  A value below 1 becomes a usage error
+    (exit 2), never a traceback with exit 1, which means "fails"."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="latsep",
@@ -436,13 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run a single condition check")
     chk_sub = chk.add_subparsers(dest="condition", required=True)
     par = chk_sub.add_parser("par", help="k-parallelogram condition")
-    par.add_argument("--k", type=int, default=2)
+    par.add_argument("--k", type=_positive_int, default=2)
     par.add_argument("file")
     for name in ("ray", "hole-free", "integrally-convex"):
         c = chk_sub.add_parser(name)
         c.add_argument("file")
     kc = chk_sub.add_parser("k-convex")
-    kc.add_argument("--k", type=int, required=True)
+    kc.add_argument("--k", type=_positive_int, required=True)
     kc.add_argument("file")
     chk.set_defaults(fn=_cmd_check)
 
@@ -456,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.set_defaults(fn=_cmd_verify_flag)
 
     hp = sub.add_parser("hull", help="k-convex hull points")
-    hp.add_argument("--k", type=int, required=True)
+    hp.add_argument("--k", type=_positive_int, required=True)
     hp.add_argument("file")
     hp.set_defaults(fn=_cmd_hull)
 

@@ -1,7 +1,10 @@
 """Decision procedures for the three separation conditions.
 
 * the k-parallelogram condition: no k' <= k points of one side share a
-  coordinate sum with k' points of the other (repetition allowed);
+  coordinate sum with k' points of the other (repetition allowed),
+  decided on the k'-fold sumsets encoded as big integers, one multiply
+  per order and side (multiset enumeration for few, widely spread
+  points);
 * the ray condition: on every line meeting both sides, one side's points
   are a prefix or a suffix of the line's trace;
 * flag separation: the two sides are split by a nested chain of affine
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import comb, gcd
 
 from . import linalg
 from .errors import DimensionMismatchError, InvalidFlagError
@@ -94,28 +97,143 @@ class SeparatingFlag:
 # ---------------------------------------------------------------------------
 # parallelogram condition
 
+# Largest dense Kronecker integer (in bits) the sumset check builds.  Its
+# size is (k*span + 1)^d digits, so points far apart in a big box would
+# need gigabytes; above this cap (8 MiB per integer) the check enumerates
+# multisets instead, which is the only path such inputs can take.
+_KRONECKER_MAX_BITS = 1 << 26
+
+# Enumeration forms one multiset sum per microsecond or so, and a digit
+# of the dense integers costs a tenth of that or more, growing with
+# their size.  Few points spread over a big box are therefore cheaper to
+# enumerate: that path is taken when the integers have more than this
+# many digits per multiset sum (measured break-even: 2 to 10).
+_DIGITS_PER_SUM = 8
+
+
 def check_parallelogram(p: Partition, k: int) -> Verdict:
     """No k' <= k points of A (with repetition) may share a coordinate
     sum with k' points of B.
+
+    Decided on the k'-fold sumsets encoded as big integers
+    (_parallelogram_by_kronecker), unless the points are so few or so
+    spread out that enumerating the multisets is cheaper, or the
+    integers would exceed _KRONECKER_MAX_BITS.  Both paths return the
+    same witness: the first B multiset in
+    ``combinations_with_replacement`` order whose sum A also reaches,
+    and the first A multiset with that sum, at the least failing order.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    _, _, digits = _mixed_radix(p.a.points + p.b.points, k)
+    sums = comb(len(p.a) + k, k) + comb(len(p.b) + k, k) - 2
+    if digits * _digit_bytes(p) * 8 > _KRONECKER_MAX_BITS or digits > _DIGITS_PER_SUM * sums:
+        return _parallelogram_by_enumeration(p, k)
+    return _parallelogram_by_kronecker(p, k)
+
+
+def _mixed_radix(pts, k: int):
+    """(lo, mults, size) of the code sum((x_i - lo_i) * mults_i) with
+    radix k * span_i + 1 on axis i: sums of up to k points add without
+    carries, and every such code is below size."""
+    lo = []
+    mults = []
+    size = 1
+    for i in range(len(pts[0])):
+        column = [q[i] for q in pts]
+        lo.append(min(column))
+        mults.append(size)
+        size *= k * (max(column) - lo[-1]) + 1
+    return lo, mults, size
+
+
+def _digit_bytes(p: Partition) -> int:
+    """Bytes per Kronecker digit: a digit of supp(S) * P counts pairs, so
+    it is at most the side's size, which must stay below 2**(w-1)."""
+    return (max(len(p.a), len(p.b)).bit_length() + 8) // 8
+
+
+def _parallelogram_by_kronecker(p: Partition, k: int) -> Verdict:
+    """check_parallelogram on big integers, one multiply per order and side.
+
+    A side becomes the integer with a 1 in digit ``code`` of w bits, and
+    its order-j sumset the 1-digits of supp(S_{j-1} * P), the digits
+    reset to 0/1 by a mask so that they stay below 2**(w-1).  The check
+    fails at the first order where both sides have a 1 in the same
+    digit; the witness is recovered by peeling points off against the
+    lower orders.  The algorithm notes in docs/ give the bounds and the
+    proofs.
+    """
+    a_pts = p.a.points
+    b_pts = p.b.points
+    d = p.dim
+    lo, mults, digits = _mixed_radix(a_pts + b_pts, k)
+    width = _digit_bytes(p)
+    w = width * 8
+    fill = int.from_bytes((b"\xff" * (width - 1) + b"\x7f") * digits, "little")
+    ones = int.from_bytes((b"\x01" + b"\x00" * (width - 1)) * digits, "little")
+
+    def encode(pts):
+        codes = [sum((q[i] - lo[i]) * mults[i] for i in range(d)) for q in pts]
+        buf = bytearray((max(codes) + 1) * width)
+        for c in codes:
+            buf[c * width] = 1
+        return codes, int.from_bytes(buf, "little")
+
+    a_codes, a_poly = encode(a_pts)
+    b_codes, b_poly = encode(b_pts)
+    a_supp = [1, a_poly]  # a_supp[j]: 0/1 digits of the order-j sumset
+    b_supp = [1, b_poly]
+    for order in range(1, k + 1):
+        if order > 1:
+            a_supp.append(((a_supp[-1] * a_poly + fill) >> (w - 1)) & ones)
+            b_supp.append(((b_supp[-1] * b_poly + fill) >> (w - 1)) & ones)
+        common = a_supp[order] & b_supp[order]
+        if common:
+            right, total = _first_multiset(b_pts, b_codes, b_supp, order, common, w)
+            left, _ = _first_multiset(a_pts, a_codes, a_supp, order, 1 << total * w, w)
+            vec = tuple(sum(q[i] for q in right) for i in range(d))
+            return Verdict(False, ParallelogramWitness(order, left, right, vec))
+    return Verdict(True)
+
+
+def _first_multiset(pts, codes, supp, order, targets, w):
+    """The first ``order``-multiset of ``pts`` in
+    ``combinations_with_replacement`` order whose code sum is a nonzero
+    digit of ``targets``, and that sum.
+
+    Greedy peeling finds it: the smallest index i whose code, taken off
+    some target, leaves a sum of order - 1 points (a digit of
+    ``supp[order - 1]``) is the first point of the first such multiset,
+    and no point after it needs a smaller index.
+    """
+    chosen = []
+    total = 0
+    i = 0
+    for remaining in range(order - 1, -1, -1):
+        rest = supp[remaining]
+        i = next(j for j in range(i, len(pts)) if (targets >> codes[j] * w) & rest)
+        chosen.append(pts[i])
+        total += codes[i]
+        targets >>= codes[i] * w
+    return tuple(chosen), total
+
+
+def _parallelogram_by_enumeration(p: Partition, k: int) -> Verdict:
+    """check_parallelogram by enumerating every multiset of each order:
+    the path for few or widely spread points, and the reference the
+    Kronecker path is tested against.
 
     Sums are compared through a mixed-radix integer code computed once
     per point, so each multiset sum costs one integer addition and the
     per-order tables stay no larger than the number of distinct sums.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     a_pts = p.a.points
     b_pts = p.b.points
     every = a_pts + b_pts
     d = p.dim
-    lo = [min(q[i] for q in every) for i in range(d)]
-    hi = [max(q[i] for q in every) for i in range(d)]
     for order in range(1, k + 1):
-        mults = []
-        m = 1
-        for i in range(d):
-            mults.append(m)
-            m *= order * (hi[i] - lo[i]) + 1
+        lo, mults, _ = _mixed_radix(every, order)
         code = {q: sum((q[i] - lo[i]) * mults[i] for i in range(d)) for q in every}
         table: dict[int, tuple[IntPoint, ...]] = {}
         for combo in combinations_with_replacement(a_pts, order):

@@ -282,6 +282,16 @@ def is_k_convex(s: PointSet, k: int) -> Verdict:
         missing = hole.witness.missing
         support = convex_combination_support(missing, s)
         return Verdict(False, ConvexityWitness(tuple(sorted(support)), missing))
+    if k == 2:
+        # Every point a hull of <= 3 members holds is a lattice point of
+        # conv(s), so those candidates are all that needs testing.
+        members = s.member_set()
+        for z in lattice_points_in_conv(s).points:
+            if z not in members:
+                support = _hull_support(z, s.points)
+                if support is not None:
+                    return Verdict(False, ConvexityWitness(tuple(sorted(support)), z))
+        return Verdict(True)
     return _sweep_is_k_convex(s, k)
 
 

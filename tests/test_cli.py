@@ -147,6 +147,16 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [["check", "par"], ["check", "k-convex"], ["hull"]])
+    def test_nonpositive_k_is_usage_error(self, tmp_path, capsys, command):
+        # exit 1 would read as "the condition fails"
+        path = _write(tmp_path, "p.json", {"dim": 2, "A": [[0, 0]], "B": [[1, 0]]})
+        for k in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--k", k, path])
+            assert exc.value.code == 2
+            assert "positive integer" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_hull_lists_points(self, tmp_path, capsys):

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latsep import conditions
 from latsep.conditions import (
     Partition,
     SeparatingFlag,
@@ -94,6 +97,91 @@ class TestParallelogram:
                 right = tuple(map(sum, zip(*w.right)))
                 assert left == right == w.total
                 assert len(w.left) == len(w.right) == w.order
+
+
+@st.composite
+def _small_partition(draw):
+    """A partition of at most 8 distinct points of [-3, 3]^d, d <= 3."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-3, 3)] * dim)
+    pts = draw(st.lists(point, min_size=2, max_size=8, unique=True))
+    cut = draw(st.integers(1, len(pts) - 1))
+    return Partition.of(pts[:cut], pts[cut:], dim)
+
+
+def _spy(monkeypatch, name, calls):
+    """Record the orders each call of a parallelogram path is given."""
+    original = getattr(conditions, name)
+    monkeypatch.setattr(conditions, name, lambda p, k: calls.append(k) or original(p, k))
+
+
+class TestParallelogramAgainstEnumeration:
+    """The Kronecker sumset check against the multiset enumeration it
+    falls back to."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_small_partition(), st.integers(1, 5))
+    def test_same_verdict_and_witness(self, p, k):
+        got = conditions._parallelogram_by_kronecker(p, k)
+        want = conditions._parallelogram_by_enumeration(p, k)
+        assert got.holds == want.holds
+        assert check_parallelogram(p, k) == want
+        if got.holds:
+            return
+        w = got.witness
+        assert w.order == want.witness.order
+        assert len(w.left) == len(w.right) == w.order
+        assert set(w.left) <= p.a.member_set() and set(w.right) <= p.b.member_set()
+        assert tuple(map(sum, zip(*w.left))) == tuple(map(sum, zip(*w.right))) == w.total
+        # the same multisets as enumeration, so the CLI prints the same
+        assert got == want
+
+    def test_seeded_cases_fail_at_several_orders(self):
+        # A is one point; the check fails at order j when it is the
+        # centroid of j points of B
+        rng = random.Random(7)
+        orders = set()
+        for _ in range(300):
+            pts = sorted({(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(6)})
+            if len(pts) < 2:
+                continue
+            a = pts.pop(rng.randrange(len(pts)))
+            p = Partition.of([a], pts)
+            v = conditions._parallelogram_by_kronecker(p, 5)
+            assert v == conditions._parallelogram_by_enumeration(p, 5)
+            if not v.holds:
+                orders.add(v.witness.order)
+        assert orders == {2, 3, 4, 5}
+
+    def test_digit_counts_above_one_byte(self):
+        # 200 ordered pairs of A sum to 199, so 8-bit digits would overflow
+        p = Partition.of([(x,) for x in range(200)], [(-100,), (299,)])
+        v = conditions._parallelogram_by_kronecker(p, 2)
+        assert not v.holds and v.witness.total == (199,)
+        assert v == conditions._parallelogram_by_enumeration(p, 2)
+
+    def test_far_apart_points_take_the_enumeration_path(self, monkeypatch):
+        calls = []
+        _spy(monkeypatch, "_parallelogram_by_enumeration", calls)
+        far = Partition.of([(0, 0)], [(10**9, 1), (1, 10**9)])
+        assert check_parallelogram(far, 5).holds
+        mid = Partition.of([(0, 0), (2 * 10**9, 2)], [(10**9, 1)])
+        v = check_parallelogram(mid, 3)
+        assert not v.holds and v.witness.order == 2 and v.witness.total == (2 * 10**9, 2)
+        assert calls == [5, 3]
+
+    def test_dense_points_take_the_kronecker_path_below_the_cap(self, monkeypatch):
+        fast, slow = [], []
+        _spy(monkeypatch, "_parallelogram_by_kronecker", fast)
+        _spy(monkeypatch, "_parallelogram_by_enumeration", slow)
+        grid = [(x, y) for x in range(5) for y in range(5)]
+        p = Partition.of([q for q in grid if q[0] < 2], [q for q in grid if q[0] >= 2])
+        assert check_parallelogram(p, 3).holds
+        assert (fast, slow) == ([3], [])
+        # 13 x 13 digits of 8 bits at k = 3
+        monkeypatch.setattr(conditions, "_KRONECKER_MAX_BITS", 13 * 13 * 8 - 1)
+        assert check_parallelogram(p, 3).holds
+        assert (fast, slow) == ([3], [3])
 
 
 class TestRay:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from latsep.convexity import (
     _closure_sweep,
     _hull_support,
+    _sweep_is_k_convex,
     classify_holes,
     is_hole_free,
     is_integrally_convex,
@@ -287,9 +288,18 @@ class TestTargetDrivenClosure:
 
     def test_two_hull_matches_sweep_on_random_3d_sets(self):
         strict = 0
+        not_two_convex = 0
         for s in _random_spanning_sets(2, 200, (4, 5), 4):
             hull = k_convex_hull(s, 2)
             assert hull == _closure_sweep(s, 2)
+            for t in (s, hull):
+                got = is_k_convex(t, 2)
+                assert got.holds == _sweep_is_k_convex(t, 2).holds
+                if not got.holds:
+                    not_two_convex += 1
+                    w = got.witness
+                    assert 2 <= len(w.subset) <= 3 and set(w.subset) <= t.member_set()
+                    assert w.missing not in t and point_in_conv(w.missing, PointSet.of(w.subset))
             # conv(s) is the union of its full-dimensional tetrahedra
             full = {
                 z
@@ -299,6 +309,7 @@ class TestTargetDrivenClosure:
             }
             strict += len(hull) < len(full)
         assert strict > 0  # some 2-hulls stop short of conv(s)
+        assert not_two_convex > 0
 
     def test_classify_holes_matches_sweep_tower(self):
         seen_k = set()
