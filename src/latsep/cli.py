@@ -58,6 +58,11 @@ EXIT_UNSUPPORTED = 3
 # ---------------------------------------------------------------------------
 # parsing
 
+def _is_int(v) -> bool:
+    """A JSON integer; JSON true/false load as bool, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _point_list(raw, dim: int, where: str) -> list[tuple[int, ...]]:
     if not isinstance(raw, list):
         raise InstanceFormatError(f"field {where!r} must be a list of points")
@@ -66,7 +71,7 @@ def _point_list(raw, dim: int, where: str) -> list[tuple[int, ...]]:
         if (
             not isinstance(entry, list)
             or len(entry) != dim
-            or not all(isinstance(v, int) for v in entry)
+            or not all(_is_int(v) for v in entry)
         ):
             raise InstanceFormatError(
                 f"field {where!r}, entry {i}: expected a vector of {dim} integers"
@@ -91,7 +96,7 @@ def parse_instance(path: str):
     if not isinstance(data, dict):
         raise InstanceFormatError(f"{path}: top level must be an object")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InstanceFormatError(f"{path}: field 'dim' must be a positive integer")
     keys = [k for k in ("S", "A", "simplex", "box") if k in data]
     if "A" in data or "B" in data:
@@ -134,7 +139,7 @@ def _parse_fraction(raw, where: str) -> Fraction:
     try:
         if isinstance(raw, str):
             return Fraction(raw)
-        if isinstance(raw, int):
+        if _is_int(raw):
             return Fraction(raw)
     except (ValueError, ZeroDivisionError):
         pass
@@ -151,14 +156,19 @@ def parse_flag_file(path: str) -> SeparatingFlag:
         raise InstanceFormatError(
             f"{path}: line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
+    if not isinstance(data, dict):
+        raise InstanceFormatError(f"{path}: top level must be an object")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InstanceFormatError(f"{path}: field 'dim' must be a positive integer")
     owner = data.get("residual_owner")
     if owner not in ("A", "B", "empty"):
         raise InstanceFormatError(f"{path}: 'residual_owner' must be 'A', 'B' or 'empty'")
+    raw_funcs = data.get("functionals", [])
+    if not isinstance(raw_funcs, list):
+        raise InstanceFormatError(f"{path}: 'functionals' must be a list")
     funcs = []
-    for i, g in enumerate(data.get("functionals", [])):
+    for i, g in enumerate(raw_funcs):
         where = f"{path}: functional {i}"
         if not isinstance(g, dict) or "normal" not in g or "offset" not in g:
             raise InstanceFormatError(f"{where}: expected 'normal' and 'offset'")

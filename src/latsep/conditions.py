@@ -37,10 +37,8 @@ from math import comb, gcd
 from . import linalg
 from .errors import DimensionMismatchError, InvalidFlagError
 from .exactlp import EqualityFeasibility
-from .geometry import AffineFunctional, PointSet, affine_hull_basis, iter_lines
+from .geometry import AffineFunctional, IntPoint, PointSet, affine_hull_basis, iter_lines
 from .verdicts import BlockingFlat, ParallelogramWitness, RayViolation, Verdict
-
-IntPoint = tuple[int, ...]
 
 OWNER_A = "A"
 OWNER_B = "B"

@@ -16,9 +16,7 @@ from math import gcd
 
 from .convexity import simplex_lattice_points
 from .errors import DimensionMismatchError, EmptyInteriorError
-from .geometry import PointSet
-
-IntPoint = tuple[int, ...]
+from .geometry import IntPoint, PointSet
 
 
 def _cross(o, a, b):

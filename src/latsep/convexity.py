@@ -4,8 +4,10 @@ The subset-closure operations enumerate simplices spanned by at most
 k+1 points.  Affinely degenerate subsets are skipped: their hulls are
 unions of hulls of smaller subsets (Caratheodory inside the subset's own
 affine span), which the sweep enumerates anyway.  Lattice points of the
-surviving simplices are counted with integer arithmetic specialised by
-dimension, so the closures stay fast enough for exhaustive testing.
+surviving simplices are counted with integer arithmetic only: a segment
+is an arithmetic progression, and every larger simplex, in any ambient
+dimension, is one box scan with integer barycentrics (see the algorithm
+notes in docs/).
 
 The k=2 closure is target-driven instead: every point it can add is a
 lattice point of conv(S), so it tests those candidates one by one with
@@ -15,13 +17,14 @@ the candidate (see the algorithm notes in docs/).
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from . import linalg
 from .errors import UnsupportedDimensionError
 from .geometry import (
     AffineFunctional,
+    IntPoint,
     PointSet,
     affine_hull_basis,
     bounding_box,
@@ -33,11 +36,9 @@ from .geometry import (
 )
 from .verdicts import CellWitness, ConvexityWitness, HoleReport, HoleWitness, Verdict
 
-IntPoint = tuple[int, ...]
-
 
 # ---------------------------------------------------------------------------
-# lattice points of low-dimensional simplices (integer arithmetic)
+# lattice points of a simplex (integer arithmetic)
 
 def _segment_points(p: IntPoint, q: IntPoint):
     d = tuple(b - a for a, b in zip(p, q))
@@ -52,126 +53,108 @@ def _segment_points(p: IntPoint, q: IntPoint):
         yield tuple(a + i * s for a, s in zip(p, step))
 
 
-def _triangle_points_2d(a, b, c):
-    s = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if s < 0:
-        b, c = c, b
-    xs = (a[0], b[0], c[0])
-    ys = (a[1], b[1], c[1])
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if (
-                (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0]) >= 0
-                and (c[0] - b[0]) * (y - b[1]) - (c[1] - b[1]) * (x - b[0]) >= 0
-                and (a[0] - c[0]) * (y - c[1]) - (a[1] - c[1]) * (x - c[0]) >= 0
-            ):
-                yield (x, y)
+def _minor_adjugate(edges):
+    """Coordinates ``cols`` on which the m integer vectors ``edges`` have a
+    nonzero m x m minor, with an integer D > 0 and integer rows R such that
+    every x in their span is sum_i (R[i] . x[cols] / D) edges[i]; None when
+    the vectors are linearly dependent.
 
-
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _triangle_points_3d(p, q, r):
-    """Lattice points of a nondegenerate triangle in Z^3.
-
-    Project along the axis where the triangle's normal is largest (an
-    injective map on the triangle's plane), scan the 2-D shadow, and
-    lift back through the plane equation.
+    One fraction-free Gauss-Jordan pass (Bareiss) over [edges | I]: every
+    division is exact, and at the end the pivot columns hold D times the
+    identity and the appended block holds D times the inverse of the
+    minor, i.e. its adjugate up to sign.
     """
-    w1 = tuple(b - a for a, b in zip(p, q))
-    w2 = tuple(b - a for a, b in zip(p, r))
-    n = _cross3(w1, w2)
-    j = max(range(3), key=lambda i: abs(n[i]))
-    keep = [i for i in range(3) if i != j]
-    a2 = (p[keep[0]], p[keep[1]])
-    b2 = (q[keep[0]], q[keep[1]])
-    c2 = (r[keep[0]], r[keep[1]])
-    cval = n[0] * p[0] + n[1] * p[1] + n[2] * p[2]
-    for uv in _triangle_points_2d(a2, b2, c2):
-        rem = cval - n[keep[0]] * uv[0] - n[keep[1]] * uv[1]
-        xj, mod = divmod(rem, n[j])
-        if mod:
+    m, d = len(edges), len(edges[0])
+    a = [list(w) + [int(i == j) for j in range(m)] for i, w in enumerate(edges)]
+    cols: list[int] = []
+    prev = 1
+    for c in range(d):
+        r = len(cols)
+        p = next((i for i in range(r, m) if a[i][c]), None)
+        if p is None:
             continue
-        point = [0, 0, 0]
-        point[keep[0]], point[keep[1]], point[j] = uv[0], uv[1], xj
-        yield tuple(point)
-
-
-def _adjugate3(m):
-    return [
-        [
-            m[1][1] * m[2][2] - m[1][2] * m[2][1],
-            m[0][2] * m[2][1] - m[0][1] * m[2][2],
-            m[0][1] * m[1][2] - m[0][2] * m[1][1],
-        ],
-        [
-            m[1][2] * m[2][0] - m[1][0] * m[2][2],
-            m[0][0] * m[2][2] - m[0][2] * m[2][0],
-            m[0][2] * m[1][0] - m[0][0] * m[1][2],
-        ],
-        [
-            m[1][0] * m[2][1] - m[1][1] * m[2][0],
-            m[0][1] * m[2][0] - m[0][0] * m[2][1],
-            m[0][0] * m[1][1] - m[0][1] * m[1][0],
-        ],
-    ]
-
-
-def _tetra_points(p0, p1, p2, p3):
-    """Lattice points of a nondegenerate tetrahedron via Cramer's rule."""
-    w = [[p[i] - p0[i] for p in (p1, p2, p3)] for i in range(3)]
-    det = (
-        w[0][0] * (w[1][1] * w[2][2] - w[1][2] * w[2][1])
-        - w[0][1] * (w[1][0] * w[2][2] - w[1][2] * w[2][0])
-        + w[0][2] * (w[1][0] * w[2][1] - w[1][1] * w[2][0])
-    )
-    adj = _adjugate3(w)
-    sign = 1 if det > 0 else -1
-    absdet = abs(det)
-    lo, hi = bounding_box([p0, p1, p2, p3])
-    for cand in box_points(lo, hi):
-        y = tuple(cand[i] - p0[i] for i in range(3))
-        mus = [sign * sum(adj[i][t] * y[t] for t in range(3)) for i in range(3)]
-        if all(m >= 0 for m in mus) and sum(mus) <= absdet:
-            yield cand
+        a[r], a[p] = a[p], a[r]
+        piv = a[r]
+        for i in range(m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(piv[c] * x - f * y) // prev for x, y in zip(a[i], piv)]
+        prev = piv[c]
+        cols.append(c)
+        if len(cols) == m:
+            sign = 1 if prev > 0 else -1
+            adj = [[sign * a[r][d + i] for r in range(m)] for i in range(m)]
+            return cols, sign * prev, adj
+    return None
 
 
 def simplex_lattice_points(points: tuple[IntPoint, ...]):
-    """Lattice points of conv(points) for an affinely independent tuple."""
-    m = len(points) - 1
-    d = len(points[0])
-    if m == 0:
-        yield points[0]
-    elif m == 1:
-        yield from _segment_points(points[0], points[1])
-    elif m == 2 and d == 2:
-        yield from _triangle_points_2d(*points)
-    elif m == 2 and d == 3:
-        yield from _triangle_points_3d(*points)
-    elif m == 3 and d == 3:
-        yield from _tetra_points(*points)
-    else:
-        ps = PointSet.of(points)
-        lo, hi = bounding_box(points)
-        for cand in box_points(lo, hi):
-            if point_in_conv(cand, ps):
-                yield cand
+    """Lattice points of conv(points) for an affinely independent tuple.
+
+    A segment is an arithmetic progression.  Otherwise project onto m
+    coordinates with a nonzero minor, where the simplex is cut out by
+    m+1 integer barycentric forms >= 0; scan the projected box with the
+    range of the last coordinate solved from the forms, and lift each
+    point back when every other coordinate divides exactly.
+    """
+    p0 = points[0]
+    if len(points) == 1:
+        yield p0
+        return
+    if len(points) == 2:
+        yield from _segment_points(p0, points[1])
+        return
+    edges = [tuple(x - o for x, o in zip(p, p0)) for p in points[1:]]
+    found = _minor_adjugate(edges)
+    if found is None:
+        raise ValueError(f"affinely dependent points {points}")
+    cols, det, adj = found
+    m = len(cols)
+    base = [p0[c] for c in cols]
+    # Affine forms on the projected point y, coefficients then constant:
+    # D times the barycentric coordinate of each edge and of p0, and D
+    # times x_j - p0_j for each coordinate j outside cols.
+    bary = [row + [-sum(r * b for r, b in zip(row, base))] for row in adj]
+    bary.append([-sum(col) for col in zip(*bary)])
+    bary[m][m] += det
+    lifts = [
+        (j, [sum(w[j] * f[r] for w, f in zip(edges, bary)) for r in range(m + 1)])
+        for j in range(len(p0))
+        if j not in cols
+    ]
+    proj = [[p[c] for c in cols] for p in points]
+    *spans, last = [(min(v), max(v)) for v in zip(*proj)]
+    for head in product(*(range(l, h + 1) for l, h in spans)):
+        # each form is c + a*t in the last projected coordinate t
+        t_lo, t_hi = last
+        for f in bary:
+            a, c = f[m - 1], f[m] + sum(u * v for u, v in zip(f, head))
+            if a > 0:
+                t_lo = max(t_lo, -(c // a))
+            elif a < 0:
+                t_hi = min(t_hi, c // -a)
+            elif c < 0:
+                t_hi = t_lo - 1
+        for t in range(t_lo, t_hi + 1):
+            y = head + (t,)
+            point = list(p0)
+            for c, v in zip(cols, y):
+                point[c] = v
+            for j, f in lifts:
+                q, rem = divmod(sum(u * v for u, v in zip(f, y)) + f[m], det)
+                if rem:
+                    break
+                point[j] += q
+            else:
+                yield tuple(point)
 
 
 def _affinely_independent(points) -> bool:
     if len(points) == 2:
         return points[0] != points[1]
     base = points[0]
-    diffs = [tuple(x - b for x, b in zip(p, base)) for p in points[1:]]
-    if len(points) == 3:
-        u, v = diffs
-        return any(u[i] * v[j] != u[j] * v[i] for i, j in combinations(range(len(u)), 2))
-    return linalg.rank(diffs) == len(diffs)
+    edges = [tuple(x - b for x, b in zip(p, base)) for p in points[1:]]
+    return _minor_adjugate(edges) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,8 @@ from dataclasses import dataclass, field
 
 from .conditions import Partition, check_parallelogram, check_ray, search_flag
 from .convexity import is_hole_free, is_integrally_convex, is_k_convex
-from .geometry import PointSet, lattice_points_in_conv
+from .geometry import IntPoint, PointSet, lattice_points_in_conv
 from .verdicts import Verdict
-
-IntPoint = tuple[int, ...]
 
 MAX_GRID_SUBSETS = 1 << 24
 

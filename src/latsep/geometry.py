@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 from . import linalg
 from .errors import DimensionMismatchError, UnsupportedDimensionError
@@ -23,7 +22,7 @@ IntPoint = tuple[int, ...]
 def as_point(coords) -> IntPoint:
     pt = tuple(coords)
     for c in pt:
-        if not isinstance(c, int):
+        if not isinstance(c, int) or isinstance(c, bool):
             raise DimensionMismatchError(f"non-integer coordinate {c!r}")
     return pt
 
@@ -86,17 +85,8 @@ class AffineFunctional:
 
     def primitive(self) -> "AffineFunctional":
         """Equivalent functional with coprime integer data (same sign)."""
-        vec = list(self.normal) + [self.offset]
-        lcm = 1
-        for v in vec:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        ints = [int(v * lcm) for v in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        return AffineFunctional(tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]))
+        *normal, offset = linalg.integer_primitive(self.normal + (self.offset,))
+        return AffineFunctional.of(normal, offset)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ are exact and deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def frac_rows(rows) -> list[list[Fraction]]:
@@ -107,22 +107,17 @@ def solve_square(a_rows, b_cols: list[list[Fraction]]) -> list[list[Fraction]] |
 
 
 def integer_primitive(vec) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (gcd 1).
+    """Scale a rational vector (ints or Fractions) to a primitive integer
+    vector (gcd 1).
 
     The direction (sign) of the input is preserved; the zero vector maps
     to itself.
     """
-    fracs = [Fraction(v) for v in vec]
-    if all(v == 0 for v in fracs):
-        return tuple(0 for _ in fracs)
-    lcm = 1
-    for v in fracs:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(v // g for v in ints)
+    vec = tuple(vec)
+    scale = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (scale // v.denominator) for v in vec]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g else tuple(ints)
 
 
 def canonical_direction(vec) -> tuple[int, ...]:

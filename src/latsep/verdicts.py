@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-IntPoint = tuple[int, ...]
+from .geometry import IntPoint
 
 
 @dataclass(frozen=True)

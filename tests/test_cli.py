@@ -157,6 +157,39 @@ class TestExitCodes:
             assert exc.value.code == 2
             assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            {"dim": 2, "S": [[0, True], [2, 1]]},
+            {"dim": 2, "A": [[0, 0]], "B": [[False, 1]]},
+            {"dim": 2, "box": [[0, 0], [True, 1]]},
+            {"dim": True, "S": [[0], [2]]},
+        ],
+    )
+    def test_json_booleans_are_not_integers(self, tmp_path, capsys, instance):
+        # true would otherwise read as 1 and report a missing lattice point
+        path = _write(tmp_path, "b.json", instance)
+        assert main(["check", "hole-free", path]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            {"dim": True, "functionals": [], "residual_owner": "A"},
+            {"dim": 2, "functionals": [{"normal": [True, 0], "offset": 0}], "residual_owner": "A"},
+            {"dim": 2, "functionals": [{"normal": [1, 0], "offset": False}], "residual_owner": "A"},
+            {"dim": 2, "functionals": 5, "residual_owner": "A"},
+            [1, 2],
+        ],
+    )
+    def test_malformed_flag_file_exit_2(self, tmp_path, capsys, flag):
+        inst = _write(tmp_path, "gap.json", {"dim": 2, "A": [[1, 0]], "B": [[0, 0]]})
+        path = _write(tmp_path, "flag.json", flag)
+        with pytest.raises(InstanceFormatError):
+            parse_flag_file(path)
+        assert main(["verify-flag", inst, "--flag", path]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_hull_lists_points(self, tmp_path, capsys):

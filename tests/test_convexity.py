@@ -1,6 +1,7 @@
 """k-convexity, hulls, integral convexity, hole classification."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -50,48 +51,37 @@ class TestSimplexLatticePoints:
             (0, 0), (1, 1), (2, 2), (3, 3),
         ]
 
-    def test_triangle_2d_matches_membership(self):
+    def test_matches_membership_in_every_dimension(self):
+        # every simplex dimension m = 0..d in Z^1..Z^4, triangles and
+        # tetrahedra in Z^4 included, against the LP membership reference
         rng = random.Random(5)
-        for _ in range(15):
-            tri = tuple((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3))
-            area2 = (tri[1][0] - tri[0][0]) * (tri[2][1] - tri[0][1]) - (
-                tri[1][1] - tri[0][1]
-            ) * (tri[2][0] - tri[0][0])
-            if area2 == 0:
-                continue
-            got = sorted(simplex_lattice_points(tri))
-            want = sorted(lattice_points_in_conv(PointSet.of(tri)).points)
-            assert got == want
+        for d in range(1, 5):
+            top = 4 if d < 4 else 3
+            for m in range(d + 1):
+                done = 0
+                while done < 10:
+                    pts = tuple(
+                        tuple(rng.randint(0, top) for _ in range(d)) for _ in range(m + 1)
+                    )
+                    s = PointSet.of(pts)
+                    if len(s) < m + 1 or len(affine_hull_basis(s)[1]) < m:
+                        continue
+                    got = sorted(simplex_lattice_points(pts))
+                    assert got == sorted(lattice_points_in_conv(s).points), pts
+                    done += 1
 
-    def test_triangle_3d_matches_membership(self):
-        rng = random.Random(9)
-        done = 0
-        while done < 12:
-            tri = tuple(
-                (rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4))
-                for _ in range(3)
-            )
-            s = PointSet.of(tri)
-            if len(s) < 3:
-                continue
-            diffs = [tuple(b - a for a, b in zip(tri[0], p)) for p in tri[1:]]
-            cx = (
-                diffs[0][1] * diffs[1][2] - diffs[0][2] * diffs[1][1],
-                diffs[0][2] * diffs[1][0] - diffs[0][0] * diffs[1][2],
-                diffs[0][0] * diffs[1][1] - diffs[0][1] * diffs[1][0],
-            )
-            if cx == (0, 0, 0):
-                continue
-            got = sorted(simplex_lattice_points(tri))
-            want = sorted(lattice_points_in_conv(s).points)
-            assert got == want
-            done += 1
+    def test_dependent_points_rejected(self):
+        with pytest.raises(ValueError):
+            list(simplex_lattice_points(((0, 0), (1, 1), (2, 2))))
 
-    def test_tetrahedron_matches_membership(self):
-        tet = ((0, 0, 0), (3, 0, 0), (0, 2, 0), (1, 1, 2))
-        got = sorted(simplex_lattice_points(tet))
-        want = sorted(lattice_points_in_conv(PointSet.of(tet)).points)
-        assert got == want
+    def test_four_dimensional_closure(self):
+        # k = 3 < rank 4 runs the tetrahedron sweep in Z^4
+        s = PointSet.of([(0, 0, 0, 0), (3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
+        start = time.perf_counter()
+        hull = k_convex_hull(s, 3)
+        elapsed = time.perf_counter() - start
+        assert hull == lattice_points_in_conv(s) and len(hull) == 16
+        assert elapsed < 2.0
 
 
 class TestKConvex:

@@ -40,6 +40,8 @@ class TestPointSet:
             PointSet.of([(0, 0), (0, 0, 0)])
         with pytest.raises(DimensionMismatchError):
             PointSet.of([(0.5, 1)])
+        with pytest.raises(DimensionMismatchError):
+            PointSet.of([(0, True)])
 
 
 class TestAffineHull:
