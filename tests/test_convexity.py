@@ -51,6 +51,49 @@ class TestSimplexLatticePoints:
             (0, 0), (1, 1), (2, 2), (3, 3),
         ]
 
+    def test_triangle_2d_matches_membership(self):
+        rng = random.Random(5)
+        for _ in range(15):
+            tri = tuple((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3))
+            area2 = (tri[1][0] - tri[0][0]) * (tri[2][1] - tri[0][1]) - (
+                tri[1][1] - tri[0][1]
+            ) * (tri[2][0] - tri[0][0])
+            if area2 == 0:
+                continue
+            got = sorted(simplex_lattice_points(tri))
+            want = sorted(lattice_points_in_conv(PointSet.of(tri)).points)
+            assert got == want
+
+    def test_triangle_3d_matches_membership(self):
+        rng = random.Random(9)
+        done = 0
+        while done < 12:
+            tri = tuple(
+                (rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4))
+                for _ in range(3)
+            )
+            s = PointSet.of(tri)
+            if len(s) < 3:
+                continue
+            diffs = [tuple(b - a for a, b in zip(tri[0], p)) for p in tri[1:]]
+            cx = (
+                diffs[0][1] * diffs[1][2] - diffs[0][2] * diffs[1][1],
+                diffs[0][2] * diffs[1][0] - diffs[0][0] * diffs[1][2],
+                diffs[0][0] * diffs[1][1] - diffs[0][1] * diffs[1][0],
+            )
+            if cx == (0, 0, 0):
+                continue
+            got = sorted(simplex_lattice_points(tri))
+            want = sorted(lattice_points_in_conv(s).points)
+            assert got == want
+            done += 1
+
+    def test_tetrahedron_matches_membership(self):
+        tet = ((0, 0, 0), (3, 0, 0), (0, 2, 0), (1, 1, 2))
+        got = sorted(simplex_lattice_points(tet))
+        want = sorted(lattice_points_in_conv(PointSet.of(tet)).points)
+        assert got == want
+
     def test_matches_membership_in_every_dimension(self):
         # every simplex dimension m = 0..d in Z^1..Z^4, triangles and
         # tetrahedra in Z^4 included, against the LP membership reference
