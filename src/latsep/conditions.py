@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement
 from math import comb, gcd
 
 from . import linalg
-from .errors import DimensionMismatchError, InvalidFlagError
+from .errors import DimensionMismatchError, InvalidFlagError, LatsepError
 from .exactlp import EqualityFeasibility
 from .geometry import AffineFunctional, IntPoint, PointSet, affine_hull_basis, iter_lines
 from .verdicts import BlockingFlat, ParallelogramWitness, RayViolation, Verdict
@@ -340,7 +340,8 @@ def _tau_map(anchor, basis):
     gram = [[sum(a * b for a, b in zip(basis[i], basis[k])) for k in range(r)] for i in range(r)]
     vt_cols = [[Fraction(basis[i][j]) for i in range(r)] for j in range(len(anchor))]
     m_cols = linalg.solve_square([[Fraction(v) for v in row] for row in gram], vt_cols)
-    assert m_cols is not None
+    if m_cols is None:
+        raise LatsepError("singular Gram matrix: the flat's basis is dependent")
     lcm = 1
     for col in m_cols:
         for v in col:

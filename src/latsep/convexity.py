@@ -17,22 +17,22 @@ the candidate (see the algorithm notes in docs/).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import UnsupportedDimensionError
 from .geometry import (
-    AffineFunctional,
     IntPoint,
     PointSet,
     affine_hull_basis,
     bounding_box,
     box_points,
     convex_combination_support,
-    hull_facets,
+    integer_facets,
     lattice_points_in_conv,
-    point_in_conv,
+    satisfies,
 )
 from .verdicts import CellWitness, ConvexityWitness, HoleReport, HoleWitness, Verdict
 
@@ -53,43 +53,20 @@ def _segment_points(p: IntPoint, q: IntPoint):
         yield tuple(a + i * s for a, s in zip(p, step))
 
 
-def _minor_adjugate(edges):
-    """Coordinates ``cols`` on which the m integer vectors ``edges`` have a
-    nonzero m x m minor, with an integer D > 0 and integer rows R such that
-    every x in their span is sum_i (R[i] . x[cols] / D) edges[i]; None when
-    the vectors are linearly dependent.
-
-    One fraction-free Gauss-Jordan pass (Bareiss) over [edges | I]: every
-    division is exact, and at the end the pivot columns hold D times the
-    identity and the appended block holds D times the inverse of the
-    minor, i.e. its adjugate up to sign.
-    """
-    m, d = len(edges), len(edges[0])
-    a = [list(w) + [int(i == j) for j in range(m)] for i, w in enumerate(edges)]
-    cols: list[int] = []
-    prev = 1
-    for c in range(d):
-        r = len(cols)
-        p = next((i for i in range(r, m) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        piv = a[r]
-        for i in range(m):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(piv[c] * x - f * y) // prev for x, y in zip(a[i], piv)]
-        prev = piv[c]
-        cols.append(c)
-        if len(cols) == m:
-            sign = 1 if prev > 0 else -1
-            adj = [[sign * a[r][d + i] for r in range(m)] for i in range(m)]
-            return cols, sign * prev, adj
-    return None
-
-
 def simplex_lattice_points(points: tuple[IntPoint, ...]):
-    """Lattice points of conv(points) for an affinely independent tuple.
+    """Lattice points of conv(points) for an affinely independent tuple;
+    ValueError for three or more affinely dependent points."""
+    found = False
+    for z in _simplex_points(points):
+        found = True
+        yield z
+    if not found:
+        raise ValueError(f"affinely dependent points {points}")
+
+
+def _simplex_points(points: tuple[IntPoint, ...]):
+    """Lattice points of conv(points), none when three or more points
+    are affinely dependent (an independent simplex holds its vertices).
 
     A segment is an arithmetic progression.  Otherwise project onto m
     coordinates with a nonzero minor, where the simplex is cut out by
@@ -105,9 +82,9 @@ def simplex_lattice_points(points: tuple[IntPoint, ...]):
         yield from _segment_points(p0, points[1])
         return
     edges = [tuple(x - o for x, o in zip(p, p0)) for p in points[1:]]
-    found = _minor_adjugate(edges)
+    found = linalg.minor_adjugate(edges)
     if found is None:
-        raise ValueError(f"affinely dependent points {points}")
+        return
     cols, det, adj = found
     m = len(cols)
     base = [p0[c] for c in cols]
@@ -149,22 +126,8 @@ def simplex_lattice_points(points: tuple[IntPoint, ...]):
                 yield tuple(point)
 
 
-def _affinely_independent(points) -> bool:
-    if len(points) == 2:
-        return points[0] != points[1]
-    base = points[0]
-    edges = [tuple(x - b for x, b in zip(p, base)) for p in points[1:]]
-    return _minor_adjugate(edges) is not None
-
-
 # ---------------------------------------------------------------------------
 # target-driven closure: is a candidate in the hull of <= 3 current points?
-
-def _primitive(v: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(v / g, g) for g the gcd of the entries; g == 0 for the zero vector."""
-    g = gcd(*v)
-    return (tuple(c // g for c in v) if g > 1 else v), g
-
 
 def _hull_support(z: IntPoint, pts) -> tuple[IntPoint, ...] | None:
     """At most 3 points of ``pts`` whose convex hull contains ``z``, or
@@ -181,7 +144,7 @@ def _hull_support(z: IntPoint, pts) -> tuple[IntPoint, ...] | None:
     vecs = [(p, tuple(a - b for a, b in zip(p, z))) for p in pts]
     directions: dict[tuple[int, ...], IntPoint] = {}
     for p, v in vecs:
-        u, _ = _primitive(v)
+        u, _ = linalg.primitive_part(v)
         q = directions.get(tuple(-c for c in u))
         if q is not None:
             return (q, p)
@@ -191,7 +154,7 @@ def _hull_support(z: IntPoint, pts) -> tuple[IntPoint, ...] | None:
         lows: dict[tuple[int, ...], tuple[int, int, IntPoint]] = {}
         for q, w in vecs[i + 1:]:
             vw = sum(a * b for a, b in zip(v, w))
-            u, g = _primitive(tuple(vv * b - vw * a for a, b in zip(v, w)))
+            u, g = linalg.primitive_part(tuple(vv * b - vw * a for a, b in zip(v, w)))
             if g == 0:
                 continue  # q on the line through z and p
             low = lows.get(u)
@@ -242,9 +205,7 @@ def _sweep_is_k_convex(s: PointSet, k: int) -> Verdict:
     pts = list(s.points)
     for size in range(2, k + 2):
         for subset in combinations(pts, size):
-            if not _affinely_independent(subset):
-                continue
-            for z in simplex_lattice_points(subset):
+            for z in _simplex_points(subset):
                 if z not in members:
                     return Verdict(False, ConvexityWitness(subset, z))
     return Verdict(True)
@@ -291,9 +252,7 @@ def _closure_sweep(s: PointSet, k: int) -> PointSet:
         added = set()
         for size in range(2, k + 2):
             for subset in _combos_touching_new(pts, len(old), size):
-                if not _affinely_independent(subset):
-                    continue
-                for z in simplex_lattice_points(subset):
+                for z in _simplex_points(subset):
                     if z not in current:
                         added.add(z)
         current |= added
@@ -328,50 +287,40 @@ def is_hole_free(s: PointSet) -> Verdict:
 # ---------------------------------------------------------------------------
 # integral convexity
 
-def _cell_ranges(lo, hi):
-    return [range(l, h) if h > l else range(l, l + 1) for l, h in zip(lo, hi)]
-
-
-def _iter_cells(lo, hi):
-    ranges = _cell_ranges(lo, hi)
-    if len(ranges) == 1:
-        for x in ranges[0]:
-            yield (x,)
-        return
-    if len(ranges) == 2:
-        for x in ranges[0]:
-            for y in ranges[1]:
-                yield (x, y)
-        return
-    for x in ranges[0]:
-        for y in ranges[1]:
-            for z in ranges[2]:
-                yield (x, y, z)
-
-
-def _functional_range_on_cell(g: AffineFunctional, cell):
-    base = g.value(cell)
-    lo = base + sum(min(n, 0) for n in g.normal)
-    hi = base + sum(max(n, 0) for n in g.normal)
-    return lo, hi
-
-
-def _cell_polytope_vertices(d, functionals):
-    """Vertices of {x : g(x) >= 0 for all g} for a polytope inside one
-    unit cell, by enumerating d-subsets of tight constraints."""
+def _cell_vertices(d, constraints):
+    """Vertices of {x : n . x >= c for all (n, c)} inside one unit cell,
+    as (X, D) with x = X / D in lowest terms, in lexicographic order of x:
+    the solves of d tight constraints that satisfy all the others."""
     verts = set()
-    idx = range(len(functionals))
-    for chosen in combinations(idx, d):
-        rows = [list(functionals[i].normal) for i in chosen]
-        rhs = [functionals[i].offset for i in chosen]
-        if linalg.rank(rows) != d:
+    for chosen in combinations(constraints, d):
+        found = linalg.minor_adjugate([n for n, _ in chosen])
+        if found is None:
             continue
-        x = linalg.solve(rows, rhs)
-        if x is None:
-            continue
-        if all(g.value(x) >= 0 for g in functionals):
-            verts.add(tuple(x))
-    return sorted(verts)
+        _, det, adj = found
+        x = [sum(row[r] * c for row, (_, c) in zip(adj, chosen)) for r in range(d)]
+        if satisfies(x, det, constraints):
+            g = gcd(det, *x)
+            verts.add((tuple(v // g for v in x), det // g))
+    scale = lcm(*(den for _, den in verts))
+    return sorted(verts, key=lambda v: tuple(c * (scale // v[1]) for c in v[0]))
+
+
+def _cell_constraints(d, facets, cell):
+    """The facets that can be tight on the unit cell plus its 2d bounds,
+    or None when the cell misses the hull: over the cell, n . x - c
+    ranges from its value at the origin plus the negative entries of n
+    to that value plus the positive ones."""
+    out = []
+    for n, c in facets:
+        base = sum(a * b for a, b in zip(n, cell)) - c
+        if base + sum(v for v in n if v > 0) < 0:
+            return None
+        if base + sum(v for v in n if v < 0) <= 0:
+            out.append((n, c))
+    for i in range(d):
+        e = tuple(int(i == j) for j in range(d))
+        out += [(e, cell[i]), (tuple(-v for v in e), -(cell[i] + 1))]
+    return out
 
 
 def is_integrally_convex(s: PointSet) -> Verdict:
@@ -381,44 +330,36 @@ def is_integrally_convex(s: PointSet) -> Verdict:
     Equivalent finite form of the integral-neighborhood definition: it
     suffices that every vertex of conv(S) clipped to a cell lies in the
     hull of the set's points on that cell's corners (see the algorithm
-    notes in docs/ for the reduction argument).
+    notes in docs/ for the reduction argument).  Integer arithmetic
+    throughout; only a failing vertex is built as Fractions.
     """
     if s.dim > 3:
         raise UnsupportedDimensionError("integral convexity supports dimension <= 3")
     if len(s) == 1:
         return Verdict(True)
     d = s.dim
-    facets = hull_facets(s)
+    facets = integer_facets(s.points)
     members = s.member_set()
     lo, hi = bounding_box(s.points)
-    for cell in _iter_cells(lo, hi):
-        active = []
-        empty = False
-        for g in facets:
-            gmin, gmax = _functional_range_on_cell(g, cell)
-            if gmax < 0:
-                empty = True
-                break
-            if gmin <= 0:
-                active.append(g)
-        if empty:
+    # one unit cell per axis position; a degenerate axis keeps one cell
+    for cell in product(*(range(l, max(h, l + 1)) for l, h in zip(lo, hi))):
+        constraints = _cell_constraints(d, facets, cell)
+        if constraints is None:
             continue
-        bounds = []
-        for i in range(d):
-            e = [0] * d
-            e[i] = 1
-            bounds.append(AffineFunctional.of(e, cell[i]))
-            bounds.append(AffineFunctional.of([-v for v in e], -(cell[i] + 1)))
-        verts = _cell_polytope_vertices(d, active + bounds)
+        verts = _cell_vertices(d, constraints)
         if not verts:
             continue
-        corner_pts = [
-            c for c in box_points(cell, tuple(z + 1 for z in cell)) if c in members
-        ]
-        local = PointSet.of(corner_pts, dim=d) if corner_pts else None
-        for v in verts:
-            if local is None or not point_in_conv(v, local):
-                return Verdict(False, CellWitness(cell, v))
+        corners = [c for c in box_points(cell, tuple(z + 1 for z in cell)) if c in members]
+        if corners:
+            local = integer_facets(corners)
+            c_lo, c_hi = bounding_box(corners)
+        for x, den in verts:
+            # conv(corners) is their bounding box cut by their integer facets
+            if not corners or not (
+                all(l * den <= v <= h * den for v, l, h in zip(x, c_lo, c_hi))
+                and satisfies(x, den, local)
+            ):
+                return Verdict(False, CellWitness(cell, tuple(Fraction(v, den) for v in x)))
     return Verdict(True)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import LatsepError
 from .linalg import solve_square
 
 OPTIMAL = "optimal"
@@ -140,8 +141,8 @@ class EqualityFeasibility:
         basis = [n + i for i in range(m)]
         costs1 = [Fraction(0)] * n + [Fraction(1)] * m
         zrow = _zrow_for(costs1, rows, basis, n + m)
-        status = _run(rows, zrow, basis, n + m)
-        assert status == OPTIMAL  # phase 1 is always bounded below by 0
+        if _run(rows, zrow, basis, n + m) != OPTIMAL:
+            raise LatsepError("phase 1 unbounded, but its objective is at least 0")
         self._phase1_obj = -zrow[-1]
         self.feasible = self._phase1_obj == 0
         if not self.feasible:
@@ -165,7 +166,8 @@ class EqualityFeasibility:
         self._basis = [basis[i] for i in range(m) if i not in drop]
 
     def feasible_point(self) -> list[Fraction]:
-        assert self.feasible
+        if not self.feasible:
+            raise LatsepError("feasible_point of an infeasible system")
         x = [Fraction(0)] * self.n
         for i, bi in enumerate(self._basis):
             x[bi] = self._rows[i][-1]
@@ -197,7 +199,8 @@ class EqualityFeasibility:
         mat = [[self._a[i][bj] for i in self.kept] for bj in basis]
         rhs = [[costs[bj] for bj in basis]]
         sol = solve_square(mat, rhs)
-        assert sol is not None
+        if sol is None:
+            raise LatsepError("duals of a singular basis")
         y_kept = sol[0]
         y = [Fraction(0)] * self.m0
         for pos, i in enumerate(self.kept):
@@ -206,7 +209,8 @@ class EqualityFeasibility:
 
     def farkas_duals(self) -> list[Fraction]:
         """For an infeasible system: y with y.b > 0 and y.A_j <= 0 for all j."""
-        assert not self.feasible
+        if self.feasible:
+            raise LatsepError("farkas_duals of a feasible system")
         n, m = self.n, self.m0
 
         def col(j):
@@ -220,7 +224,8 @@ class EqualityFeasibility:
         mat = [col(bj) for bj in self._phase1_basis]
         rhs = [[costs1[bj] for bj in self._phase1_basis]]
         sol = solve_square(mat, rhs)
-        assert sol is not None
+        if sol is None:
+            raise LatsepError("singular phase-1 basis")
         return sol[0]
 
 

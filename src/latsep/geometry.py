@@ -1,9 +1,10 @@
 """Lattice and affine geometry primitives, all in exact arithmetic.
 
 Points are tuples of Python ints; coefficients of hyperplanes are
-``fractions.Fraction``.  Convex-hull membership is decided by exact
-linear feasibility, never by floating point, so every answer produced
-here can serve as a certificate.
+``fractions.Fraction``.  Convex-hull membership of a given point is
+decided by exact linear feasibility, and the lattice points of a hull
+by its integer facets, never by floating point, so every answer
+produced here can serve as a certificate.
 """
 
 from __future__ import annotations
@@ -155,39 +156,97 @@ def box_points(lo, hi):
 
 
 def lattice_points_in_conv(s: PointSet) -> PointSet:
-    """conv(s) intersected with the integer lattice.
-
-    Enumerates the integer bounding box and keeps the points that pass
-    the exact membership test.  Membership is tested against the hull's
-    vertices only; the hull is unchanged by dropping interior points.
-    """
-    hull = PointSet(s.dim, tuple(_hull_vertices(s))) if len(s) > 2 * (s.dim + 1) else s
+    """conv(s) intersected with the integer lattice: the points of the
+    integer bounding box that satisfy every inequality of
+    ``integer_facets``, in lexicographic order."""
+    facets = integer_facets(s.points)
     lo, hi = bounding_box(s.points)
-    inside = []
-    for cand in box_points(lo, hi):
-        if cand in s or point_in_conv(cand, hull):
-            inside.append(cand)
-    return PointSet(s.dim, tuple(sorted(inside)))
+    inside = [x for x in box_points(lo, hi) if satisfies(x, 1, facets)]
+    return PointSet(s.dim, tuple(inside))
 
 
-def _hull_vertices(s: PointSet) -> list[IntPoint]:
-    """Points of s that are vertices of conv(s).
+def satisfies(x, den, pairs) -> bool:
+    """Does x / den, for den > 0, satisfy normal . x >= offset for every
+    pair (normal, offset)?"""
+    return all(sum(a * b for a, b in zip(n, x)) >= c * den for n, c in pairs)
 
-    Non-vertices are dropped as they are found; that keeps the hull
-    unchanged and shrinks the remaining membership tests.
+
+def _hull_candidates(points) -> list[IntPoint]:
+    """The points that lie strictly inside no segment between two others.
+
+    p is strictly inside such a segment exactly when two vectors q - p
+    have opposite primitive directions.  A vertex of conv(points) never
+    is, so the survivors have the same hull."""
+    keep = []
+    for p in points:
+        seen = set()
+        for q in points:
+            if q == p:
+                continue
+            u, _ = linalg.primitive_part(tuple(a - b for a, b in zip(q, p)))
+            if tuple(-c for c in u) in seen:
+                break
+            seen.add(u)
+        else:
+            keep.append(p)
+    return keep
+
+
+def integer_facets(points) -> list[tuple[tuple[int, ...], int]]:
+    """conv(points) as primitive integer pairs (normal, offset), each
+    meaning normal . x >= offset, sorted; in any dimension.
+
+    One pair per facet, plus two opposite pairs per equation of the
+    affine hull when the points are not full-dimensional.  Together with
+    the bounding box of the points the pairs cut out conv(points)
+    exactly; a single point or a set in Z^1 is its own box and gets no
+    pair.  Facets are found among the r-subsets of ``_hull_candidates``
+    for r the affine rank: the subset's normal is orthogonal to its
+    edges and to the affine-hull equations, read off the integer
+    adjugate of ``linalg.minor_adjugate``, and the subset spans a facet
+    when no two points lie on opposite sides of its plane.
     """
-    live = list(s.points)
-    verts = []
-    while live:
-        p = live.pop(0)
-        rest = verts + live
-        if not rest or not point_in_conv(p, PointSet(s.dim, tuple(sorted(rest)))):
-            verts.append(p)
-    return sorted(verts)
+    pts = _hull_candidates(points)
+    anchor = pts[0]
+    d = len(anchor)
+    if len(pts) == 1 or d == 1:
+        return []
+    diffs = [[x - a for x, a in zip(p, anchor)] for p in pts[1:]]
+    equations = [linalg.integer_primitive(n) for n in linalg.nullspace(diffs)]
+    out = set()
+    for n in equations:
+        c = sum(a * b for a, b in zip(n, anchor))
+        out.add((n, c))
+        out.add((tuple(-v for v in n), -c))
+    for subset in combinations(pts, d - len(equations)):
+        base = subset[0]
+        rows = [tuple(x - b for x, b in zip(p, base)) for p in subset[1:]] + equations
+        found = linalg.minor_adjugate(rows)
+        if found is None:
+            continue
+        cols, det, adj = found
+        # W n = 0 for n = D on the free column f and -(D W_cols^-1) W_f on cols
+        free = next(j for j in range(d) if j not in cols)
+        normal = [0] * d
+        normal[free] = det
+        for r, j in enumerate(cols):
+            normal[j] = -sum(row[r] * w[free] for row, w in zip(adj, rows))
+        n, _ = linalg.primitive_part(tuple(normal))
+        c = sum(a * b for a, b in zip(n, base))
+        side = 0
+        for p in pts:
+            v = sum(a * b for a, b in zip(n, p)) - c
+            if v and side and (v > 0) != (side > 0):
+                break
+            side = side or v
+        else:
+            out.add((n, c) if side > 0 else (tuple(-v for v in n), -c))
+    return sorted(out)
 
 
 def hull_facets(s: PointSet) -> list[AffineFunctional]:
-    """Irredundant functionals with conv(s) = {x : g(x) >= 0 for all g}.
+    """Irredundant functionals with conv(s) = {x : g(x) >= 0 for all g}
+    inside the bounding box of s (see ``integer_facets``).
 
     Works in ambient dimension <= 3.  When s is not full-dimensional the
     affine hull's equations are returned as paired opposite inequalities,
@@ -195,42 +254,7 @@ def hull_facets(s: PointSet) -> list[AffineFunctional]:
     """
     if s.dim > 3:
         raise UnsupportedDimensionError("facet enumeration supports dimension <= 3")
-    anchor, basis = affine_hull_basis(s)
-    r = len(basis)
-    out: dict[tuple, AffineFunctional] = {}
-
-    # Equations of the affine hull (empty when s is full-dimensional).
-    for n in linalg.nullspace(basis) if r < s.dim else []:
-        n = linalg.integer_primitive(n)
-        c = sum(a * b for a, b in zip(n, anchor))
-        for sign in (1, -1):
-            g = AffineFunctional.of([sign * v for v in n], sign * c).primitive()
-            out[(g.normal, g.offset)] = g
-    if r == 0:
-        return list(out.values())
-
-    verts = _hull_vertices(s)
-    for subset in combinations(verts, r):
-        base = subset[0]
-        dirs = [tuple(x - b for x, b in zip(p, base)) for p in subset[1:]]
-        if linalg.rank(dirs) != r - 1:
-            continue
-        # normal inside the hull's direction space, orthogonal to the face
-        system = dirs + [list(v) for v in linalg.nullspace(basis)]
-        normals = linalg.nullspace(system)
-        if len(normals) != 1:
-            continue
-        n = linalg.integer_primitive(normals[0])
-        c = sum(a * b for a, b in zip(n, base))
-        vals = [sum(a * b for a, b in zip(n, p)) - c for p in s.points]
-        if all(v >= 0 for v in vals):
-            g = AffineFunctional.of(n, c).primitive()
-        elif all(v <= 0 for v in vals):
-            g = AffineFunctional.of([-v for v in n], -c).primitive()
-        else:
-            continue
-        out[(g.normal, g.offset)] = g
-    return sorted(out.values(), key=lambda g: (g.normal, g.offset))
+    return [AffineFunctional.of(n, c) for n, c in integer_facets(s.points)]
 
 
 def line_key(point, direction):

@@ -1,8 +1,8 @@
-"""Exact rational linear algebra: elimination, solving, nullspaces.
+"""Exact linear algebra: elimination, solving, nullspaces.
 
-All routines work on lists of lists of ``fractions.Fraction`` (or ints,
-which are promoted).  Nothing here ever touches floating point; results
-are exact and deterministic.
+Rational routines take lists of lists of ``fractions.Fraction`` (or ints,
+which are promoted); ``minor_adjugate`` stays in the integers.  Nothing
+here touches floating point; results are exact and deterministic.
 """
 
 from __future__ import annotations
@@ -13,10 +13,6 @@ from math import gcd, lcm
 
 def frac_rows(rows) -> list[list[Fraction]]:
     return [[Fraction(v) for v in row] for row in rows]
-
-
-def dot(u, v) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -45,31 +41,6 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(m):
             break
     return m, pivots
-
-
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref(frac_rows(rows))
-    return len(pivots)
-
-
-def solve(a_rows, b) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not a_rows:
-        return []
-    aug = [list(map(Fraction, row)) + [Fraction(bv)] for row, bv in zip(a_rows, b)]
-    m, pivots = rref(aug)
-    ncols = len(a_rows[0])
-    if ncols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
-    return x
 
 
 def nullspace(a_rows) -> list[list[Fraction]]:
@@ -104,6 +75,48 @@ def solve_square(a_rows, b_cols: list[list[Fraction]]) -> list[list[Fraction]] |
     if pivots != list(range(n)):
         return None
     return [[m[i][n + t] for i in range(n)] for t in range(k)]
+
+
+def minor_adjugate(rows):
+    """Coordinates ``cols`` on which the m integer vectors ``rows`` have a
+    nonzero m x m minor, with an integer D > 0 and integer rows R such that
+    every x in their span is sum_i (R[i] . x[cols] / D) rows[i]; None when
+    the vectors are linearly dependent.
+
+    One fraction-free Gauss-Jordan pass (Bareiss) over [rows | I]: every
+    division is exact, and at the end the pivot columns hold D times the
+    identity and the appended block holds D times the inverse of the
+    minor, i.e. its adjugate up to sign.  For a square nonsingular A,
+    A x = b has the solution x_r = sum_i R[i][r] b_i / D.
+    """
+    m, d = len(rows), len(rows[0])
+    a = [list(w) + [int(i == j) for j in range(m)] for i, w in enumerate(rows)]
+    cols: list[int] = []
+    prev = 1
+    for c in range(d):
+        r = len(cols)
+        p = next((i for i in range(r, m) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        piv = a[r]
+        for i in range(m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(piv[c] * x - f * y) // prev for x, y in zip(a[i], piv)]
+        prev = piv[c]
+        cols.append(c)
+        if len(cols) == m:
+            sign = 1 if prev > 0 else -1
+            adj = [[sign * a[r][d + i] for r in range(m)] for i in range(m)]
+            return cols, sign * prev, adj
+    return None
+
+
+def primitive_part(v: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(v / g, g) for g the gcd of the entries; g == 0 for the zero vector."""
+    g = gcd(*v)
+    return (tuple(c // g for c in v) if g > 1 else v), g
 
 
 def integer_primitive(vec) -> tuple[int, ...]:

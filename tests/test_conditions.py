@@ -17,7 +17,7 @@ from latsep.conditions import (
     search_flag,
     verify_flag,
 )
-from latsep.errors import DimensionMismatchError, InvalidFlagError
+from latsep.errors import DimensionMismatchError, InvalidFlagError, LatsepError
 from latsep.geometry import AffineFunctional, PointSet, lattice_points_in_conv
 
 
@@ -355,3 +355,8 @@ def test_search_flag_degenerate_blocking_flat():
 def test_search_flag_collinear_separable():
     v = search_flag(Partition.of([(0, 0)], [(2, 2)]))
     assert v.holds and len(v.witness.functionals) == 1
+
+
+def test_tau_map_rejects_a_dependent_basis():
+    with pytest.raises(LatsepError):
+        conditions._tau_map((0, 0), [(1, 0), (2, 0)])

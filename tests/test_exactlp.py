@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import pytest
+
+from latsep.errors import LatsepError
 from latsep.exactlp import EqualityFeasibility, feasible_point
 
 
@@ -50,6 +53,16 @@ def test_infeasible_farkas_certificate():
     for j in range(2):
         col = [rows[i][j] for i in range(3)]
         assert sum(a * b for a, b in zip(y, col)) <= 0
+
+
+def test_misuse_raises_under_python_O():
+    # library errors, not asserts, so the checks survive python -O
+    infeasible = EqualityFeasibility([[0, -2], [1, 0], [0, 1]], [0, 1, 1])
+    with pytest.raises(LatsepError):
+        infeasible.feasible_point()
+    feasible = EqualityFeasibility([[1, 1]], [1])
+    with pytest.raises(LatsepError):
+        feasible.farkas_duals()
 
 
 def test_unbounded():

@@ -5,12 +5,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latsep.errors import DimensionMismatchError, UnsupportedDimensionError
 from latsep.geometry import (
     AffineFunctional,
     PointSet,
+    _hull_candidates,
     affine_hull_basis,
+    box_points,
     hull_facets,
     lattice_points_in_conv,
     lines_through,
@@ -19,6 +23,7 @@ from latsep.geometry import (
 
 from oracles import (
     oracle_conv_membership_grid,
+    oracle_hull_facets_lp,
     oracle_lines_by_pairs,
     oracle_simplex_543_member,
     oracle_simplex_1374_member,
@@ -182,6 +187,59 @@ class TestHullFacets:
     def test_dimension_guard(self):
         with pytest.raises(UnsupportedDimensionError):
             hull_facets(PointSet.of([(0, 0, 0, 0), (1, 0, 0, 0)]))
+
+
+def _random_rank_set(rng, dim, rank, reach=2):
+    """Up to 7 points of Z^dim whose affine hull has the given rank: an
+    origin plus combinations of ``rank`` independent directions, with
+    entries and coefficients in [-reach, reach]."""
+    while True:
+        dirs = [tuple(rng.randint(-reach, reach) for _ in range(dim)) for _ in range(rank)]
+        origin = tuple(rng.randint(-2, 2) for _ in range(dim))
+        pts = [origin]
+        for _ in range(rng.randint(rank, 6)):
+            coef = [rng.randint(-reach, reach) for _ in range(rank)]
+            pts.append(tuple(o + sum(c * w[i] for c, w in zip(coef, dirs)) for i, o in enumerate(origin)))
+        s = PointSet.of(pts)
+        if len(affine_hull_basis(s)[1]) == rank:
+            return s
+
+
+class TestIntegerFacets:
+    """The integer facet kernel against the Fraction/LP code it replaced."""
+
+    def test_hull_facets_match_lp_oracle(self):
+        rng = random.Random(31)
+        for dim in (1, 2, 3):
+            for rank in range(dim + 1):
+                for _ in range(12):
+                    s = _random_rank_set(rng, dim, rank)
+                    assert hull_facets(s) == oracle_hull_facets_lp(s), s.points
+
+    def test_lattice_points_match_point_in_conv_box_filter(self):
+        rng = random.Random(32)
+        for dim in (1, 2, 3, 4):
+            for rank in range(dim + 1):
+                for _ in range(4):
+                    s = _random_rank_set(rng, dim, rank, reach=1)
+                    lo = tuple(min(c) for c in zip(*s.points))
+                    hi = tuple(max(c) for c in zip(*s.points))
+                    want = [x for x in box_points(lo, hi) if point_in_conv(x, s)]
+                    assert list(lattice_points_in_conv(s).points) == want, s.points
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=9)
+        )
+    )
+    def test_prune_never_drops_a_vertex(self, pts):
+        s = PointSet.of(pts)
+        kept = _hull_candidates(s.points)
+        for p in s.points:
+            others = PointSet(s.dim, tuple(q for q in s.points if q != p))
+            if p not in kept:
+                assert point_in_conv(p, others), (s.points, p)
 
 
 class TestLinesThrough:
