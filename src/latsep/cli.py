@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import prod
 
 from .catalog import run_catalog
 from .conditions import (
@@ -45,7 +46,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .explorer import CONDITIONS, FAMILY_FILTERS, conjecture_hunt, test_equivalence
-from .geometry import AffineFunctional, PointSet, box_points, lattice_points_in_conv
+from .geometry import AffineFunctional, PointSet, bounding_box, box_points, lattice_points_in_conv
 from .svgplot import render_svg
 from .verdicts import BlockingFlat
 
@@ -53,6 +54,10 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
+
+# Most lattice points a 'box' or 'simplex' instance may span: the bounding
+# box of its corners is checked before any point is built.
+MAX_INSTANCE_POINTS = 2 * 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +83,14 @@ def _point_list(raw, dim: int, where: str) -> list[tuple[int, ...]]:
             )
         pts.append(tuple(entry))
     return pts
+
+
+def _check_span(path: str, lo, hi) -> None:
+    if prod(h - l + 1 for l, h in zip(lo, hi)) > MAX_INSTANCE_POINTS:
+        raise InstanceFormatError(
+            f"{path}: the bounding box of the instance holds more than "
+            f"{MAX_INSTANCE_POINTS} lattice points"
+        )
 
 
 def parse_instance(path: str):
@@ -121,6 +134,7 @@ def parse_instance(path: str):
         verts = _point_list(data["simplex"], dim, "simplex")
         if not verts:
             raise InstanceFormatError(f"{path}: 'simplex' must list vertices")
+        _check_span(path, *bounding_box(verts))
         return lattice_points_in_conv(PointSet.of(verts, dim))
     if keys == ["box"]:
         box = data["box"]
@@ -129,6 +143,7 @@ def parse_instance(path: str):
         lo, hi = _point_list(box, dim, "box")
         if any(l > h for l, h in zip(lo, hi)):
             raise InstanceFormatError(f"{path}: 'box' corners are out of order")
+        _check_span(path, lo, hi)
         return PointSet.of(box_points(lo, hi), dim)
     raise InstanceFormatError(
         f"{path}: expected exactly one of 'S', 'A'+'B', 'simplex', 'box'"

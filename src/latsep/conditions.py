@@ -333,28 +333,46 @@ def lex_flag_to_subspace_chain(flag: SeparatingFlag):
 
 
 def _tau_map(anchor, basis):
-    """Integer matrix D with tau(x) = D (x - anchor) giving coordinates
-    of x in the affine hull spanned by ``basis`` (scaled to clear
-    denominators)."""
-    r = len(basis)
-    gram = [[sum(a * b for a, b in zip(basis[i], basis[k])) for k in range(r)] for i in range(r)]
-    vt_cols = [[Fraction(basis[i][j]) for i in range(r)] for j in range(len(anchor))]
-    m_cols = linalg.solve_square([[Fraction(v) for v in row] for row in gram], vt_cols)
-    if m_cols is None:
+    """Integer matrix M with tau(x) = M (x - anchor) giving coordinates of
+    x in the affine hull spanned by ``basis``, scaled to clear
+    denominators: M = adj(G) V / g for the Gram matrix G = V V^T, with g
+    the gcd of det(G) and the entries of adj(G) V."""
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    found = linalg.minor_adjugate(gram)
+    if found is None:
         raise LatsepError("singular Gram matrix: the flat's basis is dependent")
-    lcm = 1
-    for col in m_cols:
-        for v in col:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    # rows of the scaled map
-    return [[int(m_cols[j][i] * lcm) for j in range(len(anchor))] for i in range(r)]
+    _, det, adj = found
+    basis_cols = list(zip(*basis))
+    rows = [[sum(a * v for a, v in zip(u, col)) for col in basis_cols] for u in zip(*adj)]
+    g = gcd(det, *(v for row in rows for v in row))
+    return [[v // g for v in row] for row in rows]
 
 
 def _tau_to_ambient(p_vec, q_val, dmap, anchor) -> AffineFunctional:
-    d = len(anchor)
-    normal = [sum(Fraction(p_vec[i]) * dmap[i][j] for i in range(len(p_vec))) for j in range(d)]
-    offset = Fraction(q_val) + sum(n * a for n, a in zip(normal, anchor))
-    return AffineFunctional.of(normal, offset).primitive()
+    """The primitive functional x -> p . tau(x) - q for integer p, q."""
+    normal = [sum(p * row[j] for p, row in zip(p_vec, dmap)) for j in range(len(anchor))]
+    offset = q_val + sum(n * a for n, a in zip(normal, anchor))
+    *normal, offset = linalg.integer_primitive(normal + [offset])
+    return AffineFunctional.of(normal, offset)
+
+
+def _weak_separator(y, r, tau, a_pts, b_pts, q):
+    """(p, c) of the functional tau -> p . tau - c read off the integer
+    dual vector y of the strictness LP at q; raises LatsepError unless it
+    is >= 0 on A, <= 0 on B and nonzero at q."""
+    p = [-v for v in y[:r]]
+    c = y[r]
+
+    def value(pt):
+        return sum(a * b for a, b in zip(p, tau[pt])) - c
+
+    if (
+        any(value(pt) < 0 for pt in a_pts)
+        or any(value(pt) > 0 for pt in b_pts)
+        or value(q) == 0
+    ):
+        raise LatsepError(f"dual functional at {q} is not a weak separator strict there")
+    return p, c
 
 
 def search_flag(p: Partition) -> Verdict:
@@ -362,7 +380,9 @@ def search_flag(p: Partition) -> Verdict:
 
     On success the witness is a verifying SeparatingFlag; on failure it
     is the affine flat on which every weak separator of the remaining
-    points is constant.
+    points is constant.  All arithmetic is on integers: the tau
+    coordinates, the LP rows, and the dual functionals, each scaled by a
+    positive common denominator and summed as integers.
     """
     a_live = list(p.a.points)
     b_live = list(p.b.points)
@@ -378,73 +398,55 @@ def search_flag(p: Partition) -> Verdict:
             return Verdict(True, SeparatingFlag(p.dim, tuple(funcs), owner))
 
         live = sorted(a_live + b_live)
-        hull = PointSet.of(live, p.dim)
-        anchor, basis = affine_hull_basis(hull)
+        anchor, basis = affine_hull_basis(PointSet(p.dim, tuple(live)))
         r = len(basis)
         dmap = _tau_map(anchor, basis)
         tau = {
-            q: tuple(
-                sum(dmap[i][j] * (q[j] - anchor[j]) for j in range(p.dim))
-                for i in range(r)
-            )
+            q: tuple(sum(m * (x - a) for m, x, a in zip(row, q, anchor)) for row in dmap)
             for q in live
         }
         a_sorted = sorted(a_live)
         b_sorted = sorted(b_live)
         cols = a_sorted + b_sorted
-        col_of = {q: i for i, q in enumerate(cols)}
         n_a = len(a_sorted)
-        rows = [
-            [Fraction(tau[q][i]) for q in a_sorted]
-            + [Fraction(-tau[q][i]) for q in b_sorted]
-            for i in range(r)
-        ]
-        rows.append([Fraction(1)] * n_a + [Fraction(0)] * len(b_sorted))
-        rows.append([Fraction(0)] * n_a + [Fraction(1)] * len(b_sorted))
-        rhs = [Fraction(0)] * r + [Fraction(1), Fraction(1)]
-        system = EqualityFeasibility(rows, rhs)
+        rows = [[tau[q][i] for q in a_sorted] + [-tau[q][i] for q in b_sorted] for i in range(r)]
+        rows.append([1] * n_a + [0] * len(b_sorted))
+        rows.append([0] * n_a + [1] * len(b_sorted))
+        system = EqualityFeasibility(rows, [0] * r + [1, 1])
 
         if not system.feasible:
             # The hulls of the live sides are disjoint: the Farkas vector
             # yields a separator with a uniform gap, strict at every point.
-            y = system.farkas_duals()
-            p_vec = [-y[i] for i in range(r)]
-            q_val = (y[r] - y[r + 1]) / 2
-            g = _tau_to_ambient(p_vec, q_val, dmap, anchor)
+            y = linalg.integer_primitive(system.farkas_duals())
+            g = _tau_to_ambient([-2 * v for v in y[:r]], y[r] - y[r + 1], dmap, anchor)
             funcs.append(g)
             a_live, b_live = [], []
             continue
 
-        w = system.feasible_point()
-        p_acc = [Fraction(0)] * r
-        q_acc = Fraction(0)
-        in_e = set()
+        # E: the live points with positive weight in some common point of
+        # the sides' hulls.  (p_acc, q_acc) / acc_den sums the dual
+        # separators collected for the points off E.
+        in_e = {q for q, x in zip(cols, system.feasible_point()) if x > 0}
+        col_of = {q: i for i, q in enumerate(cols)}
+        p_acc = [0] * r
+        q_acc = 0
+        acc_den = 1
         for q in live:
-            i = col_of[q]
-            if w[i] > 0:
-                in_e.add(q)
-                continue
-            val = sum(pc * t for pc, t in zip(p_acc, tau[q])) - q_acc
-            if val != 0:
-                continue  # already strictly separated by the accumulated sum
-            costs = [Fraction(0)] * len(cols)
-            costs[i] = Fraction(-1)
+            if q in in_e or sum(pc * t for pc, t in zip(p_acc, tau[q])) != q_acc:
+                continue  # in E, or strictly separated by the sum so far
+            costs = [0] * len(cols)
+            costs[col_of[q]] = -1
             res = system.minimize(costs)
-            if -res.objective > 0:
-                w = [(wv + xv) / 2 for wv, xv in zip(w, res.x)]
-                in_e.add(q)
-            else:
-                y = system.duals(costs, res.basis)
-                g_p = [-y[t] for t in range(r)]
-                g_q = y[r]
-                if __debug__:
-                    for s_pt in a_sorted:
-                        assert sum(a * b for a, b in zip(g_p, tau[s_pt])) - g_q >= 0
-                    for s_pt in b_sorted:
-                        assert sum(a * b for a, b in zip(g_p, tau[s_pt])) - g_q <= 0
-                    assert sum(a * b for a, b in zip(g_p, tau[q])) - g_q != 0
-                p_acc = [a + b for a, b in zip(p_acc, g_p)]
-                q_acc += g_q
+            if res.objective < 0:
+                in_e.update(pt for pt, x in zip(cols, res.x) if x > 0)
+                continue
+            y, den = linalg.common_denominator(res.y)
+            g_p, g_q = _weak_separator(y, r, tau, a_sorted, b_sorted, q)
+            p_acc = [a * den + b * acc_den for a, b in zip(p_acc, g_p)]
+            q_acc = q_acc * den + g_q * acc_den
+            acc_den *= den
+            g = gcd(acc_den, q_acc, *p_acc)
+            p_acc, q_acc, acc_den = [v // g for v in p_acc], q_acc // g, acc_den // g
 
         if len(in_e) == len(live):
             return Verdict(False, BlockingFlat(anchor, tuple(basis)))

@@ -1,14 +1,19 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming on an integer tableau.
 
-A small dense two-phase primal simplex over ``fractions.Fraction`` with
-Bland's anti-cycling rule.  Problems are given in equality standard form
+A small dense two-phase primal simplex with Dantzig pricing and Bland's
+anti-cycling rule.  Problems are given in equality standard form
 
     minimize c.x   subject to  A x = b,  x >= 0,  b >= 0,
 
-which is what the geometric feasibility questions in this library reduce
-to.  Because every pivot is exact, "optimal", "infeasible" and
-"unbounded" are certificates, not approximations: optimal bases yield
-exact dual vectors and infeasible systems yield exact Farkas vectors.
+with integer or rational data, which is what the geometric feasibility
+questions in this library reduce to.  The tableau is fraction-free:
+integer entries over one common denominator D > 0, pivoted by the
+integer-preserving rule of Edmonds and Bareiss, in which every division
+is exact (the algorithm notes in docs/ give the argument).  Because every
+pivot is exact, "optimal", "infeasible" and "unbounded" are
+certificates, not approximations.  The artificial columns stay in the
+tableau, so optimal bases yield exact dual vectors and infeasible
+systems exact Farkas vectors without a further solve.
 
 ``EqualityFeasibility`` additionally caches the phase-1 work so that many
 objectives can be optimized over one constraint set cheaply; the
@@ -19,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .errors import LatsepError
-from .linalg import solve_square
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -30,86 +35,111 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LPResult:
+    """``y`` holds the optimal dual values, one per original row: they
+    satisfy c_j - y.A_j >= 0 for every column j, with equality on the
+    basis."""
+
     status: str
     objective: Fraction | None = None
     x: list[Fraction] | None = None
     basis: list[int] | None = None
+    y: list[Fraction] | None = None
 
 
-def _zrow_for(costs, rows, basis, ncols):
-    """Reduced-cost row for the given objective under the current basis."""
-    z = [Fraction(c) for c in costs[:ncols]] + [Fraction(0)]
-    for i, bi in enumerate(basis):
+def _integers(values, den) -> list[int]:
+    """den times the ints or Fractions ``values``, which den must clear."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _zrow(costs, rows, basis, den, width) -> list[int]:
+    """den times the reduced-cost row of integer ``costs`` (zero past its
+    end) under the current basis, ``width`` long, with den times minus
+    the objective last."""
+    z = [den * c for c in costs] + [0] * (width - len(costs))
+    for row, bi in zip(rows, basis):
         cb = costs[bi]
-        if cb != 0:
-            row = rows[i]
-            for j in range(ncols + 1):
-                if row[j] != 0:
-                    z[j] -= cb * row[j]
+        if cb:
+            z = [a - cb * b for a, b in zip(z, row)]
     return z
 
 
-def _pivot(rows, zrow, basis, pr, pc):
+def _eliminate(row, prow, p, c, den) -> list[int]:
+    """Row ``row`` after the pivot on entry p of ``prow`` in column c, for
+    the tableau denominator going from den to p."""
+    f = row[c]
+    if f:
+        return [(a * p - f * b) // den for a, b in zip(row, prow)]
+    if p != den:
+        return [a * p // den for a in row]
+    return row
+
+
+def _pivot(rows, z, basis, den, pr, pc) -> int:
+    """Integer-preserving pivot on (pr, pc); returns the new denominator.
+
+    The pivot row is kept and the new denominator is its pivot entry,
+    negated together with the row when it is negative (so that D > 0
+    and every entry keeps the sign of the rational tableau's)."""
     prow = rows[pr]
-    pv = prow[pc]
-    if pv != 1:
-        rows[pr] = prow = [v / pv for v in prow]
+    p = prow[pc]
+    if p < 0:
+        p = -p
+        rows[pr] = prow = [-v for v in prow]
     for i, row in enumerate(rows):
-        if i != pr and row[pc] != 0:
-            f = row[pc]
-            rows[i] = [a - f * b for a, b in zip(row, prow)]
-    f = zrow[pc]
-    if f != 0:
-        for j in range(len(zrow)):
-            if prow[j] != 0:
-                zrow[j] -= f * prow[j]
+        if i != pr:
+            rows[i] = _eliminate(row, prow, p, pc, den)
+    z[:] = _eliminate(z, prow, p, pc, den)
     basis[pr] = pc
+    return p
 
 
 _STALL_LIMIT = 12
 
 
-def _run(rows, zrow, basis, ncols) -> str:
-    """Simplex loop; mutates rows/zrow/basis.
+def _run(rows, z, basis, den, ncols) -> tuple[str, int]:
+    """Simplex loop; mutates rows/z/basis, returns (status, denominator).
 
     Pricing is Dantzig (most negative reduced cost), which is fast on
     the heavily degenerate systems produced by the separation searches.
     Whenever the objective stalls for a stretch of pivots the loop drops
     to Bland's smallest-index rule until the objective moves again,
-    which rules out cycling while keeping the fast path.
+    which rules out cycling while keeping the fast path.  Every entry
+    shares the denominator, so reduced costs compare as integers; the
+    ratio test compares by cross-multiplication.
     """
     stall = 0
-    last_obj = zrow[-1]
+    last_obj, last_den = z[-1], den
     while True:
         enter = -1
         if stall < _STALL_LIMIT:
             best_rc = 0
             for j in range(ncols):
-                v = zrow[j]
+                v = z[j]
                 if v < best_rc:
                     best_rc = v
                     enter = j
         else:
             for j in range(ncols):
-                if zrow[j] < 0:
+                if z[j] < 0:
                     enter = j
                     break
         if enter < 0:
-            return OPTIMAL
+            return OPTIMAL, den
         leave = -1
-        best = None
         for i, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave < 0:
+                    leave, top, bottom = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * bottom, top * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, top, bottom = i, row[-1], a
         if leave < 0:
-            return UNBOUNDED
-        _pivot(rows, zrow, basis, leave, enter)
-        if zrow[-1] != last_obj:
-            last_obj = zrow[-1]
+            return UNBOUNDED, den
+        den = _pivot(rows, z, basis, den, leave, enter)
+        if z[-1] * last_den != last_obj * den:
+            last_obj, last_den = z[-1], den
             stall = 0
         else:
             stall += 1
@@ -118,38 +148,34 @@ def _run(rows, zrow, basis, ncols) -> str:
 class EqualityFeasibility:
     """Phase-1 solved once for A x = b, x >= 0; then many phase-2 objectives.
 
-    Rows found redundant during phase 1 are dropped internally; dual
-    vectors are always reported in terms of the original rows (dropped
-    rows get multiplier zero).
+    Row i and its artificial column are scaled by the lcm s_i of the
+    row's denominators, so the starting basis has determinant
+    D = prod(s_i) and the tableau starts as D times [A | I | b]: the
+    phase-1 tableau of the unscaled system, in integers.  Rows found
+    redundant during phase 1 are dropped internally; dual vectors are
+    always reported in terms of the original rows (redundant rows get
+    multiplier zero).
     """
 
     def __init__(self, a_rows, b):
-        self.m0 = len(a_rows)
-        self.n = len(a_rows[0]) if a_rows else 0
-        self._a = [[Fraction(v) for v in row] for row in a_rows]
-        self._b = [Fraction(v) for v in b]
-        if any(v < 0 for v in self._b):
+        self.m0 = m = len(a_rows)
+        self.n = n = len(a_rows[0]) if a_rows else 0
+        if any(v < 0 for v in b):
             raise ValueError("right-hand side must be nonnegative")
-
-        n, m = self.n, self.m0
-        rows = [
-            [self._a[i][j] for j in range(n)]
-            + [Fraction(1) if t == i else Fraction(0) for t in range(m)]
-            + [self._b[i]]
-            for i in range(m)
-        ]
+        den = prod(lcm(*(v.denominator for v in row), bv.denominator) for row, bv in zip(a_rows, b))
+        rows = []
+        for i, (row, bv) in enumerate(zip(a_rows, b)):
+            *coeffs, rhs = _integers([*row, bv], den)
+            rows.append(coeffs + [den * (t == i) for t in range(m)] + [rhs])
         basis = [n + i for i in range(m)]
-        costs1 = [Fraction(0)] * n + [Fraction(1)] * m
-        zrow = _zrow_for(costs1, rows, basis, n + m)
-        if _run(rows, zrow, basis, n + m) != OPTIMAL:
+        z = _zrow([0] * n + [1] * m, rows, basis, den, n + m + 1)
+        status, den = _run(rows, z, basis, den, n + m)
+        if status != OPTIMAL:
             raise LatsepError("phase 1 unbounded, but its objective is at least 0")
-        self._phase1_obj = -zrow[-1]
-        self.feasible = self._phase1_obj == 0
+        self.feasible = z[-1] == 0
         if not self.feasible:
-            self._phase1_basis = basis[:]
-            self._rows = None
-            self._basis = None
-            self.kept = list(range(m))
+            # y = c_B B^-1 for phase-1 costs: 1 - z_{n+i} on artificial i
+            self._farkas = [1 - Fraction(z[n + i], den) for i in range(m)]
             return
 
         # Drive artificials out of the basis, dropping redundant rows.
@@ -160,73 +186,44 @@ class EqualityFeasibility:
                 if pc is None:
                     drop.append(i)
                 else:
-                    _pivot(rows, zrow, basis, i, pc)
-        self.kept = [i for i in range(m) if i not in drop]
-        self._rows = [rows[i][:n] + [rows[i][-1]] for i in range(m) if i not in drop]
-        self._basis = [basis[i] for i in range(m) if i not in drop]
+                    den = _pivot(rows, z, basis, den, i, pc)
+        self._rows = [row for i, row in enumerate(rows) if i not in drop]
+        self._basis = [bi for i, bi in enumerate(basis) if i not in drop]
+        self._den = den
 
     def feasible_point(self) -> list[Fraction]:
         if not self.feasible:
             raise LatsepError("feasible_point of an infeasible system")
         x = [Fraction(0)] * self.n
-        for i, bi in enumerate(self._basis):
-            x[bi] = self._rows[i][-1]
+        for row, bi in zip(self._rows, self._basis):
+            x[bi] = Fraction(row[-1], self._den)
         return x
 
     def minimize(self, costs) -> LPResult:
-        """Minimize costs.x over the feasible region (costs: length n)."""
+        """Minimize costs.x over the feasible region (costs: length n,
+        ints or Fractions)."""
         if not self.feasible:
             return LPResult(INFEASIBLE)
+        n = self.n
         rows = [row[:] for row in self._rows]
         basis = self._basis[:]
-        costs = [Fraction(c) for c in costs]
-        zrow = _zrow_for(costs, rows, basis, self.n)
-        status = _run(rows, zrow, basis, self.n)
+        scale = lcm(*(c.denominator for c in costs))
+        z = _zrow(_integers(costs, scale), rows, basis, self._den, n + self.m0 + 1)
+        status, den = _run(rows, z, basis, self._den, n)
         if status != OPTIMAL:
             return LPResult(UNBOUNDED)
-        x = [Fraction(0)] * self.n
-        for i, bi in enumerate(basis):
-            x[bi] = rows[i][-1]
-        return LPResult(OPTIMAL, -zrow[-1], x, basis)
-
-    def duals(self, costs, basis) -> list[Fraction]:
-        """Row multipliers y with y.A_B = c_B, indexed by original rows.
-
-        For an optimal basis these are the LP dual values: they satisfy
-        c_j - y.A_j >= 0 for every column j.
-        """
-        costs = [Fraction(c) for c in costs]
-        mat = [[self._a[i][bj] for i in self.kept] for bj in basis]
-        rhs = [[costs[bj] for bj in basis]]
-        sol = solve_square(mat, rhs)
-        if sol is None:
-            raise LatsepError("duals of a singular basis")
-        y_kept = sol[0]
-        y = [Fraction(0)] * self.m0
-        for pos, i in enumerate(self.kept):
-            y[i] = y_kept[pos]
-        return y
+        x = [Fraction(0)] * n
+        for row, bi in zip(rows, basis):
+            x[bi] = Fraction(row[-1], den)
+        # y = c_B B^-1 is minus the reduced cost of each artificial column
+        y = [Fraction(-z[n + i], den * scale) for i in range(self.m0)]
+        return LPResult(OPTIMAL, Fraction(-z[-1], den * scale), x, basis, y)
 
     def farkas_duals(self) -> list[Fraction]:
         """For an infeasible system: y with y.b > 0 and y.A_j <= 0 for all j."""
         if self.feasible:
             raise LatsepError("farkas_duals of a feasible system")
-        n, m = self.n, self.m0
-
-        def col(j):
-            if j < n:
-                return [self._a[i][j] for i in range(m)]
-            e = [Fraction(0)] * m
-            e[j - n] = Fraction(1)
-            return e
-
-        costs1 = [Fraction(0)] * n + [Fraction(1)] * m
-        mat = [col(bj) for bj in self._phase1_basis]
-        rhs = [[costs1[bj] for bj in self._phase1_basis]]
-        sol = solve_square(mat, rhs)
-        if sol is None:
-            raise LatsepError("singular phase-1 basis")
-        return sol[0]
+        return self._farkas
 
 
 def feasible_point(a_rows, b) -> list[Fraction] | None:
@@ -237,12 +234,11 @@ def feasible_point(a_rows, b) -> list[Fraction] | None:
     fixed_a = []
     fixed_b = []
     for row, bv in zip(a_rows, b):
-        bv = Fraction(bv)
         if bv < 0:
-            fixed_a.append([-Fraction(v) for v in row])
+            fixed_a.append([-v for v in row])
             fixed_b.append(-bv)
         else:
-            fixed_a.append([Fraction(v) for v in row])
+            fixed_a.append(list(row))
             fixed_b.append(bv)
     sys = EqualityFeasibility(fixed_a, fixed_b)
     if not sys.feasible:

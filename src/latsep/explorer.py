@@ -234,9 +234,6 @@ def test_equivalence(
     return report
 
 
-test_equivalence.__test__ = False  # not a test, despite the name
-
-
 def _equivalence_state(report: EquivalenceReport, cursor: int) -> dict:
     return {
         "kind": "equivalence",

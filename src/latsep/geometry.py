@@ -1,10 +1,11 @@
 """Lattice and affine geometry primitives, all in exact arithmetic.
 
-Points are tuples of Python ints; coefficients of hyperplanes are
-``fractions.Fraction``.  Convex-hull membership of a given point is
-decided by exact linear feasibility, and the lattice points of a hull
-by its integer facets, never by floating point, so every answer
-produced here can serve as a certificate.
+Points are tuples of Python ints.  Hulls, affine hulls and their
+equations are computed on integer vectors by fraction-free elimination
+(``linalg``); rationals appear only in ``AffineFunctional`` coefficients
+and in points passed to the convex-hull membership test, which is
+decided by the exact simplex of ``exactlp``.  Nothing here uses floating
+point, so every answer produced here can serve as a certificate.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def affine_hull_basis(s: PointSet) -> tuple[IntPoint, list[tuple[int, ...]]]:
     if len(s) == 0:
         raise DimensionMismatchError("empty point set has no affine hull")
     anchor = s.points[0]
-    diffs = [tuple(x - a for x, a in zip(p, anchor)) for p in s.points[1:]]
+    diffs = (tuple(x - a for x, a in zip(p, anchor)) for p in s.points[1:])
     return anchor, linalg.independent_subset(diffs)
 
 
@@ -129,10 +130,9 @@ def convex_combination_support(x, s: PointSet) -> list[IntPoint] | None:
     if len(x) != s.dim:
         raise DimensionMismatchError("point/set dimension mismatch")
     pts = s.points
-    rows = [[Fraction(p[i]) for p in pts] for i in range(s.dim)]
-    rows.append([Fraction(1)] * len(pts))
-    rhs = list(x) + [Fraction(1)]
-    lam = feasible_point(rows, rhs)
+    rows = [[p[i] for p in pts] for i in range(s.dim)]
+    rows.append([1] * len(pts))
+    lam = feasible_point(rows, list(x) + [1])
     if lam is None:
         return None
     return [pts[i] for i, v in enumerate(lam) if v > 0]
@@ -197,41 +197,33 @@ def integer_facets(points) -> list[tuple[tuple[int, ...], int]]:
     meaning normal . x >= offset, sorted; in any dimension.
 
     One pair per facet, plus two opposite pairs per equation of the
-    affine hull when the points are not full-dimensional.  Together with
-    the bounding box of the points the pairs cut out conv(points)
-    exactly; a single point or a set in Z^1 is its own box and gets no
-    pair.  Facets are found among the r-subsets of ``_hull_candidates``
-    for r the affine rank: the subset's normal is orthogonal to its
-    edges and to the affine-hull equations, read off the integer
-    adjugate of ``linalg.minor_adjugate``, and the subset spans a facet
-    when no two points lie on opposite sides of its plane.
+    affine hull when the points are not full-dimensional, so the pairs
+    alone cut out conv(points) for every input: a single point gets the
+    pairs +-e_i, and a set in Z^1 its two endpoints.  Facets are found
+    among the r-subsets of ``_hull_candidates`` for r the affine rank:
+    the subset's normal spans the integer nullspace of its edges and the
+    affine-hull equations (``linalg.null_vectors``), and the subset spans
+    a facet when no two points lie on opposite sides of its plane.
     """
     pts = _hull_candidates(points)
     anchor = pts[0]
     d = len(anchor)
-    if len(pts) == 1 or d == 1:
-        return []
-    diffs = [[x - a for x, a in zip(p, anchor)] for p in pts[1:]]
-    equations = [linalg.integer_primitive(n) for n in linalg.nullspace(diffs)]
+    diffs = (tuple(x - a for x, a in zip(p, anchor)) for p in pts[1:])
+    equations = linalg.null_vectors(linalg.independent_subset(diffs), d)
     out = set()
     for n in equations:
         c = sum(a * b for a, b in zip(n, anchor))
         out.add((n, c))
         out.add((tuple(-v for v in n), -c))
+    if len(equations) == d:
+        return sorted(out)
     for subset in combinations(pts, d - len(equations)):
         base = subset[0]
         rows = [tuple(x - b for x, b in zip(p, base)) for p in subset[1:]] + equations
-        found = linalg.minor_adjugate(rows)
-        if found is None:
+        normals = linalg.null_vectors(rows, d)
+        if normals is None:
             continue
-        cols, det, adj = found
-        # W n = 0 for n = D on the free column f and -(D W_cols^-1) W_f on cols
-        free = next(j for j in range(d) if j not in cols)
-        normal = [0] * d
-        normal[free] = det
-        for r, j in enumerate(cols):
-            normal[j] = -sum(row[r] * w[free] for row, w in zip(adj, rows))
-        n, _ = linalg.primitive_part(tuple(normal))
+        n = normals[0]
         c = sum(a * b for a, b in zip(n, base))
         side = 0
         for p in pts:
@@ -246,7 +238,7 @@ def integer_facets(points) -> list[tuple[tuple[int, ...], int]]:
 
 def hull_facets(s: PointSet) -> list[AffineFunctional]:
     """Irredundant functionals with conv(s) = {x : g(x) >= 0 for all g}
-    inside the bounding box of s (see ``integer_facets``).
+    (see ``integer_facets``).
 
     Works in ambient dimension <= 3.  When s is not full-dimensional the
     affine hull's equations are returned as paired opposite inequalities,

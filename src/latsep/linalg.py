@@ -1,80 +1,15 @@
-"""Exact linear algebra: elimination, solving, nullspaces.
+"""Exact integer linear algebra: fraction-free elimination, solving,
+nullspaces and primitive vectors.
 
-Rational routines take lists of lists of ``fractions.Fraction`` (or ints,
-which are promoted); ``minor_adjugate`` stays in the integers.  Nothing
-here touches floating point; results are exact and deterministic.
+Elimination is fraction-free (Bareiss) on integer vectors; only
+``integer_primitive`` and ``canonical_direction`` accept rationals, to
+scale them to integers.  Nothing here touches floating point; results
+are exact and deterministic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-
-
-def frac_rows(rows) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in rows]
-
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form. Returns (new rows, pivot column indices)."""
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def nullspace(a_rows) -> list[list[Fraction]]:
-    """Basis of {x : A x = 0} (one vector per free column)."""
-    if not a_rows:
-        return []
-    ncols = len(a_rows[0])
-    m, pivots = rref(frac_rows(a_rows))
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -m[i][f]
-        basis.append(v)
-    return basis
-
-
-def solve_square(a_rows, b_cols: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Solve A X = B for a square nonsingular A; B given as list of columns.
-
-    Returns the columns of X, or None if A is singular.
-    """
-    n = len(a_rows)
-    k = len(b_cols)
-    aug = [
-        [Fraction(a_rows[i][j]) for j in range(n)] + [Fraction(b_cols[t][i]) for t in range(k)]
-        for i in range(n)
-    ]
-    m, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [[m[i][n + t] for i in range(n)] for t in range(k)]
 
 
 def minor_adjugate(rows):
@@ -119,6 +54,13 @@ def primitive_part(v: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return (tuple(c // g for c in v) if g > 1 else v), g
 
 
+def common_denominator(vec) -> tuple[list[int], int]:
+    """(ints, den) with vec = ints / den for the least den > 0, for a
+    rational vector (ints or Fractions)."""
+    den = lcm(*(v.denominator for v in vec))
+    return [v.numerator * (den // v.denominator) for v in vec], den
+
+
 def integer_primitive(vec) -> tuple[int, ...]:
     """Scale a rational vector (ints or Fractions) to a primitive integer
     vector (gcd 1).
@@ -126,9 +68,7 @@ def integer_primitive(vec) -> tuple[int, ...]:
     The direction (sign) of the input is preserved; the zero vector maps
     to itself.
     """
-    vec = tuple(vec)
-    scale = lcm(*(v.denominator for v in vec))
-    ints = [v.numerator * (scale // v.denominator) for v in vec]
+    ints, _ = common_denominator(tuple(vec))
     g = gcd(*ints)
     return tuple(v // g for v in ints) if g else tuple(ints)
 
@@ -142,14 +82,55 @@ def canonical_direction(vec) -> tuple[int, ...]:
     return prim
 
 
-def independent_subset(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Greedy maximal linearly independent subset, keeping input order."""
+def independent_subset(vectors) -> list[tuple[int, ...]]:
+    """Greedy maximal linearly independent subset, keeping input order.
+
+    Each vector is reduced fraction-free against the picked ones, kept
+    in echelon form sorted by pivot column, and is picked when something
+    is left; the scan stops once the picked vectors span the space.
+    """
     picked: list[tuple[int, ...]] = []
-    staircase: list[list[Fraction]] = []  # rref rows of the picked vectors
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
     for v in vectors:
-        cand = staircase + [[Fraction(x) for x in v]]
-        m, pivots = rref(cand)
-        if len(pivots) > len(staircase):
-            picked.append(v)
-            staircase = m[: len(pivots)]
+        w = list(v)
+        for c, row in echelon:
+            if w[c]:
+                f, p = w[c], row[c]
+                w = [p * a - f * b for a, b in zip(w, row)]
+        c = next((j for j, a in enumerate(w) if a), None)
+        if c is None:
+            continue
+        g = gcd(*w)
+        echelon.append((c, [a // g for a in w]))
+        echelon.sort(key=lambda e: e[0])
+        picked.append(tuple(v))
+        if len(picked) == len(w):
+            break
     return picked
+
+
+def null_vectors(rows, d: int) -> list[tuple[int, ...]] | None:
+    """Primitive integer basis of {x in Q^d : w . x = 0 for w in rows},
+    one vector per free column in increasing order, normalised like
+    reduced row echelon form (the free column's entry positive, the
+    other free columns zero); None when the rows are dependent.
+
+    The vectors are read off ``minor_adjugate``: for the free column f,
+    x_f = D and x_cols = -adj . W_f, so W x = 0.
+    """
+    if not rows:
+        return [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    found = minor_adjugate(rows)
+    if found is None:
+        return None
+    cols, det, adj = found
+    out = []
+    for f in range(d):
+        if f in cols:
+            continue
+        x = [0] * d
+        x[f] = det
+        for r, j in enumerate(cols):
+            x[j] = -sum(row[r] * w[f] for row, w in zip(adj, rows))
+        out.append(primitive_part(tuple(x))[0])
+    return out

@@ -10,8 +10,9 @@ small instances only.
 The one exception is the last section: the Fraction-elimination and
 exact-LP implementation of facet enumeration and integral convexity
 that the library's integer facet kernel replaced, kept verbatim as a
-differential reference on top of the library's rational ``rref``,
-``nullspace`` and LP membership test ``point_in_conv``.
+differential reference on top of the Fraction ``rref`` and ``nullspace``
+of ``fraction_oracles.py`` and the library's LP membership test
+``point_in_conv``.
 """
 
 from __future__ import annotations
@@ -358,17 +359,17 @@ def oracle_conv_membership_grid(x, points, denominators):
 # facets and integral convexity by Fraction elimination and exact LPs
 
 def _lp_rank(rows) -> int:
-    from latsep import linalg
+    from fraction_oracles import frac_rows, rref
 
-    return len(linalg.rref(linalg.frac_rows(rows))[1]) if rows else 0
+    return len(rref(frac_rows(rows))[1]) if rows else 0
 
 
 def _lp_solve(a_rows, b):
     """One solution of A x = b (free variables zero), or None."""
-    from latsep import linalg
+    from fraction_oracles import rref
 
     aug = [[Fraction(v) for v in row] + [Fraction(bv)] for row, bv in zip(a_rows, b)]
-    m, pivots = linalg.rref(aug)
+    m, pivots = rref(aug)
     ncols = len(a_rows[0])
     if ncols in pivots:
         return None
@@ -396,13 +397,14 @@ def oracle_hull_facets_lp(s):
     vertices (r the affine rank) a Fraction nullspace normal, kept when
     the set lies on one side; the affine hull's equations as opposite
     pairs."""
+    from fraction_oracles import nullspace
     from latsep import linalg
     from latsep.geometry import AffineFunctional, affine_hull_basis
 
     anchor, basis = affine_hull_basis(s)
     r = len(basis)
     out = {}
-    for n in linalg.nullspace(basis) if r < s.dim else []:
+    for n in nullspace(basis) if r < s.dim else []:
         n = linalg.integer_primitive(n)
         c = sum(a * b for a, b in zip(n, anchor))
         for sign in (1, -1):
@@ -415,7 +417,7 @@ def oracle_hull_facets_lp(s):
         dirs = [tuple(x - b for x, b in zip(p, base)) for p in subset[1:]]
         if _lp_rank(dirs) != r - 1:
             continue
-        normals = linalg.nullspace(dirs + [list(v) for v in linalg.nullspace(basis)])
+        normals = nullspace(dirs + [list(v) for v in nullspace(basis)])
         if len(normals) != 1:
             continue
         n = linalg.integer_primitive(normals[0])

@@ -24,7 +24,8 @@ from latsep.conditions import (
 from latsep.constructions import MinimalTriangle, lemma_triple
 from latsep.convexity import classify_holes, k_convex_hull
 from latsep.errors import DimensionMismatchError
-from latsep.explorer import bipartitions, enumerate_family, test_equivalence
+from latsep import explorer
+from latsep.explorer import bipartitions, enumerate_family
 from latsep.geometry import PointSet, lattice_points_in_conv
 
 from oracles import oracle_flag_separable
@@ -148,8 +149,8 @@ def test_criterion_2_hole_tower():
 
 def test_criterion_3_exhaustive_equivalences():
     t0 = time.time()
-    rep1 = test_equivalence((3, 3), "integrally-convex", "parallelogram-2", "flag")
-    rep2 = test_equivalence((3, 3), "hole-free", "parallelogram-3", "flag")
+    rep1 = explorer.test_equivalence((3, 3), "integrally-convex", "parallelogram-2", "flag")
+    rep2 = explorer.test_equivalence((3, 3), "hole-free", "parallelogram-3", "flag")
     elapsed = time.time() - t0
     ok = rep1.ok and rep2.ok
     _report(
@@ -165,8 +166,8 @@ def test_criterion_3_exhaustive_equivalences():
 def test_criterion_4_planar_counterexamples():
     # exhaustive over hole-free subsets of the 3x3 grid (all of which are
     # subsets of the 4x4 grid), plus a bounded sweep over the 4x4 grid itself
-    rep = test_equivalence((3, 3), "hole-free", "parallelogram-2", "flag")
-    rep44 = test_equivalence(
+    rep = explorer.test_equivalence((3, 3), "hole-free", "parallelogram-2", "flag")
+    rep44 = explorer.test_equivalence(
         (4, 4), "hole-free", "parallelogram-2", "flag", stop_after=3
     )
     found = rep.violations + rep44.violations

@@ -1,6 +1,7 @@
 """Command line interface: parsing, exit codes, output round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -141,6 +142,20 @@ class TestExitCodes:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["check", "ray", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            {"dim": 2, "box": [[0, 0], [100000, 100000]]},
+            {"dim": 2, "simplex": [[0, 0], [100000, 0], [0, 100000]]},
+        ],
+    )
+    def test_huge_instance_refused_fast(self, tmp_path, capsys, instance):
+        path = _write(tmp_path, "huge.json", instance)
+        start = time.perf_counter()
+        assert main(["check", "hole-free", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "lattice points" in capsys.readouterr().err
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,9 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latsep.conditions import Partition, search_flag
 from latsep.errors import LatsepError
 from latsep.exactlp import EqualityFeasibility, feasible_point
+
+import fraction_oracles
 
 
 def test_feasible_point_convex_combination():
@@ -35,7 +40,7 @@ def test_minimize_and_duals_reduced_costs():
         res = sys_.minimize(costs)
         assert res.status == "optimal"
         assert -res.objective == Fraction(1, 2)
-        y = sys_.duals(costs, res.basis)
+        y = res.y
         cols = [[rows[r][j] for r in range(4)] for j in range(4)]
         for j, col in enumerate(cols):
             rc = costs[j] - sum(a * b for a, b in zip(y, col))
@@ -81,5 +86,78 @@ def test_redundant_rows_are_dropped():
     assert x == [Fraction(1), Fraction(0)]
     res = sys_.minimize([0, -1])
     assert res.status == "optimal"
-    y = sys_.duals([Fraction(0), Fraction(-1)], res.basis)
-    assert len(y) == 3  # duals reported for all original rows
+    assert len(res.y) == 3  # duals reported for all original rows
+
+
+# ---------------------------------------------------------------------------
+# the integer tableau against the Fraction tableau it replaced
+
+_ints = st.integers(-3, 3)
+_fracs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+def _systems(entries):
+    """(rows, rhs, cost vectors) with 1-4 rows and 1-6 columns."""
+    return st.integers(1, 4).flatmap(
+        lambda m: st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m),
+                st.lists(entries.map(abs), min_size=m, max_size=m),
+                st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3),
+            )
+        )
+    )
+
+
+def _agree(rows, rhs, cost_vectors):
+    new = EqualityFeasibility(rows, rhs)
+    old = fraction_oracles.EqualityFeasibility(rows, rhs)
+    assert new.feasible == old.feasible
+    if not new.feasible:
+        assert new.farkas_duals() == old.farkas_duals()
+        return
+    assert new.feasible_point() == old.feasible_point()
+    for costs in cost_vectors:
+        got = new.minimize(costs)
+        want = old.minimize(costs)
+        assert got.status == want.status
+        if want.status == "optimal":
+            assert (got.objective, got.x, got.basis) == (want.objective, want.x, want.basis)
+            assert got.y == old.duals(costs, want.basis)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_systems(_ints))
+def test_integer_tableau_matches_fraction_tableau(system):
+    rows, rhs, cost_vectors = system
+    _agree(rows, rhs, cost_vectors)
+    # a redundant row, which phase 1 drops
+    _agree(rows + [[2 * v for v in rows[0]]], rhs + [2 * rhs[0]], cost_vectors)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_systems(_fracs))
+def test_rational_systems_match_fraction_tableau(system):
+    _agree(*system)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(0, 2)] * d), min_size=2, max_size=8, unique=True
+        ).flatmap(
+            lambda pts: st.lists(
+                st.booleans(), min_size=len(pts), max_size=len(pts)
+            ).map(lambda sides: (pts, sides))
+        )
+    )
+)
+def test_search_flag_matches_fraction_search(case):
+    pts, sides = case
+    a = [q for q, s in zip(pts, sides) if s]
+    b = [q for q, s in zip(pts, sides) if not s]
+    if not a or not b:
+        return
+    p = Partition.of(a, b)
+    assert search_flag(p) == fraction_oracles.search_flag(p)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from latsep import explorer
 from latsep.conditions import check_parallelogram, search_flag
 from latsep.explorer import (
     HuntReport,
@@ -15,7 +16,6 @@ from latsep.explorer import (
     evaluate_condition,
     grid_points,
     hunt_over_set,
-    test_equivalence,
 )
 from latsep.geometry import PointSet
 
@@ -57,7 +57,7 @@ class TestBipartitions:
 
 class TestEquivalence:
     def test_violations_replay(self):
-        report = test_equivalence(
+        report = explorer.test_equivalence(
             (3, 3), "hole-free", "parallelogram-2", "flag", stop_after=2
         )
         assert len(report.violations) >= 1
@@ -67,12 +67,12 @@ class TestEquivalence:
             assert search_flag(p).holds == v.right_holds
 
     def test_integrally_convex_equivalence_clean(self):
-        report = test_equivalence((2, 3), "integrally-convex", "parallelogram-2", "flag")
+        report = explorer.test_equivalence((2, 3), "integrally-convex", "parallelogram-2", "flag")
         assert report.ok and report.sets_checked > 0
 
     def test_stream_records(self):
         buf = io.StringIO()
-        test_equivalence(
+        explorer.test_equivalence(
             (3, 3), "hole-free", "parallelogram-2", "flag", stop_after=1, stream=buf
         )
         lines = [json.loads(ln) for ln in buf.getvalue().splitlines()]
@@ -80,21 +80,21 @@ class TestEquivalence:
 
     def test_checkpoint_resume(self, tmp_path):
         cp = tmp_path / "cp.json"
-        partial = test_equivalence(
+        partial = explorer.test_equivalence(
             (2, 3), "any", "parallelogram-2", "flag", stop_after=1, checkpoint=str(cp)
         )
-        resumed = test_equivalence(
+        resumed = explorer.test_equivalence(
             (2, 3), "any", "parallelogram-2", "flag", checkpoint=str(cp)
         )
-        fresh = test_equivalence((2, 3), "any", "parallelogram-2", "flag")
+        fresh = explorer.test_equivalence((2, 3), "any", "parallelogram-2", "flag")
         assert resumed.sets_checked == fresh.sets_checked
         assert resumed.partitions_checked == fresh.partitions_checked
         assert len(resumed.violations) == len(fresh.violations)
         assert partial.sets_checked <= fresh.sets_checked
 
     def test_jobs_match_serial(self):
-        serial = test_equivalence((2, 3), "hole-free", "parallelogram-2", "flag")
-        parallel = test_equivalence(
+        serial = explorer.test_equivalence((2, 3), "hole-free", "parallelogram-2", "flag")
+        parallel = explorer.test_equivalence(
             (2, 3), "hole-free", "parallelogram-2", "flag", jobs=2
         )
         assert serial.partitions_checked == parallel.partitions_checked

@@ -14,11 +14,14 @@ from latsep.geometry import (
     PointSet,
     _hull_candidates,
     affine_hull_basis,
+    bounding_box,
     box_points,
     hull_facets,
+    integer_facets,
     lattice_points_in_conv,
     lines_through,
     point_in_conv,
+    satisfies,
 )
 
 from oracles import (
@@ -209,12 +212,38 @@ class TestIntegerFacets:
     """The integer facet kernel against the Fraction/LP code it replaced."""
 
     def test_hull_facets_match_lp_oracle(self):
+        # The oracle gives no pair for a single point or a set in Z^1,
+        # where the kernel now returns the +-e_i pairs and the endpoints;
+        # those cases are checked by test_pairs_alone_cut_out_the_hull.
         rng = random.Random(31)
         for dim in (1, 2, 3):
             for rank in range(dim + 1):
                 for _ in range(12):
                     s = _random_rank_set(rng, dim, rank)
-                    assert hull_facets(s) == oracle_hull_facets_lp(s), s.points
+                    want = oracle_hull_facets_lp(s)
+                    if rank == 0 or dim == 1:
+                        assert want == [], s.points
+                    else:
+                        assert hull_facets(s) == want, s.points
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=7)
+        )
+    )
+    def test_pairs_alone_cut_out_the_hull(self, pts):
+        s = PointSet.of(pts)
+        pairs = integer_facets(s.points)
+        lo, hi = bounding_box(s.points)
+        box = box_points(tuple(v - 1 for v in lo), tuple(v + 1 for v in hi))
+        assert [x for x in box if satisfies(x, 1, pairs)] == list(lattice_points_in_conv(s).points)
+
+    def test_single_point_and_line_pairs(self):
+        assert integer_facets([(2, -1)]) == [
+            ((-1, 0), -2), ((0, -1), 1), ((0, 1), -1), ((1, 0), 2)
+        ]
+        assert integer_facets([(3,), (-1,), (0,)]) == [((-1,), -3), ((1,), -1)]
 
     def test_lattice_points_match_point_in_conv_box_filter(self):
         rng = random.Random(32)
