@@ -37,7 +37,14 @@ from math import comb, gcd
 from . import linalg
 from .errors import DimensionMismatchError, InvalidFlagError, LatsepError
 from .exactlp import EqualityFeasibility
-from .geometry import AffineFunctional, IntPoint, PointSet, affine_hull_basis, iter_lines
+from .geometry import (
+    AffineFunctional,
+    IntPoint,
+    PointSet,
+    affine_hull_basis,
+    line_key,
+    opposite_pairs,
+)
 from .verdicts import BlockingFlat, ParallelogramWitness, RayViolation, Verdict
 
 OWNER_A = "A"
@@ -252,23 +259,28 @@ def _parallelogram_by_enumeration(p: Partition, k: int) -> Verdict:
 
 def check_ray(p: Partition) -> Verdict:
     """On every line meeting both sides, A's points must be a prefix or a
-    suffix of the trace of S on that line."""
+    suffix of the trace of S on that line.
+
+    A line fails exactly when one of its points has points of the other
+    side in both directions along it, which ``opposite_pairs`` finds in
+    one pass per point.  The failing line reported is the least by
+    (canonical direction, ``line_key``), the first a sweep over all
+    lines in that order would meet (see the algorithm notes in docs/).
+    """
+    failing = set()
+    for own, other in ((p.a.points, p.b.points), (p.b.points, p.a.points)):
+        for q in own:
+            for _, r in opposite_pairs(q, other):
+                d = linalg.canonical_direction(tuple(a - b for a, b in zip(r, q)))
+                failing.add((d, line_key(q, d)))
+    if not failing:
+        return Verdict(True)
+    direction, key = min(failing)
     side = {q: OWNER_A for q in p.a.points}
     side.update({q: OWNER_B for q in p.b.points})
-    pts = sorted(side)
-    for direction, traces in iter_lines(pts):
-        for tr in traces:
-            sides = [side[q] for q in tr]
-            count_a = sides.count(OWNER_A)
-            if count_a == 0 or count_a == len(tr):
-                continue
-            idx = [i for i, sd in enumerate(sides) if sd == OWNER_A]
-            if idx[-1] == count_a - 1 or idx[0] == len(tr) - count_a:
-                continue
-            return Verdict(
-                False, RayViolation(tr[0], direction, tuple(tr), tuple(sides))
-            )
-    return Verdict(True)
+    trace = tuple(sorted(q for q in side if line_key(q, direction) == key))
+    sides = tuple(side[q] for q in trace)
+    return Verdict(False, RayViolation(trace[0], direction, trace, sides))
 
 
 # ---------------------------------------------------------------------------

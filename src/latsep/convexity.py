@@ -9,10 +9,10 @@ is an arithmetic progression, and every larger simplex, in any ambient
 dimension, is one box scan with integer barycentrics (see the algorithm
 notes in docs/).
 
-The k=2 closure is target-driven instead: every point it can add is a
-lattice point of conv(S), so it tests those candidates one by one with
-an integer kernel that finds at most 3 current points whose hull holds
-the candidate (see the algorithm notes in docs/).
+The k=1 and k=2 closures are target-driven instead: every point they
+can add is a lattice point of conv(S), so they test those candidates one
+by one with an integer kernel that finds at most k+1 current points
+whose hull holds the candidate (see the algorithm notes in docs/).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .geometry import (
     convex_combination_support,
     integer_facets,
     lattice_points_in_conv,
+    opposite_pairs,
     satisfies,
 )
 from .verdicts import CellWitness, ConvexityWitness, HoleReport, HoleWitness, Verdict
@@ -127,28 +128,25 @@ def _simplex_points(points: tuple[IntPoint, ...]):
 
 
 # ---------------------------------------------------------------------------
-# target-driven closure: is a candidate in the hull of <= 3 current points?
+# target-driven closure: is a candidate in the hull of <= k+1 current points?
 
-def _hull_support(z: IntPoint, pts) -> tuple[IntPoint, ...] | None:
-    """At most 3 points of ``pts`` whose convex hull contains ``z``, or
-    None when there are none; ``z`` must not be one of ``pts``.
+def _hull_support(z: IntPoint, pts, k: int) -> tuple[IntPoint, ...] | None:
+    """At most k+1 points of ``pts``, for k = 1 or 2, whose convex hull
+    contains ``z``, or None when there are none; ``z`` must not be one of
+    ``pts``.
 
     Integer arithmetic only, O(N^2) for N points.  Segment step: z lies
     on a segment exactly when two vectors p - z have opposite primitive
-    directions.  Triangle step: for v = p - z, each later w = q - z is
-    bucketed by the primitive part u of its projection
+    directions (``opposite_pairs``).  Triangle step: for v = p - z, each
+    later w = q - z is bucketed by the primitive part u of its projection
     <v,v>w - <v,w>v orthogonal to v, with gcd g, keeping the least
     <v,w>/g per bucket; z lies in a triangle with first vertex p exactly
     when min(u) + min(-u) <= 0 for some bucket u.
     """
+    pair = next(opposite_pairs(z, pts), None)
+    if pair is not None or k == 1:
+        return pair
     vecs = [(p, tuple(a - b for a, b in zip(p, z))) for p in pts]
-    directions: dict[tuple[int, ...], IntPoint] = {}
-    for p, v in vecs:
-        u, _ = linalg.primitive_part(v)
-        q = directions.get(tuple(-c for c in u))
-        if q is not None:
-            return (q, p)
-        directions.setdefault(u, p)
     for i, (p, v) in enumerate(vecs):
         vv = sum(c * c for c in v)
         lows: dict[tuple[int, ...], tuple[int, int, IntPoint]] = {}
@@ -167,17 +165,18 @@ def _hull_support(z: IntPoint, pts) -> tuple[IntPoint, ...] | None:
     return None
 
 
-def _candidate_closure(s: PointSet, candidates) -> PointSet:
-    """Fixed point of the k=2 closure step, given every lattice point it
-    could add (a superset of the additions is enough, e.g. the lattice
-    points of conv(s)).  Candidates are retested until a full pass adds
-    none, because each addition can bring others within reach."""
+def _candidate_closure(s: PointSet, candidates, k: int) -> PointSet:
+    """Fixed point of the closure step for k = 1 or 2, given every
+    lattice point it could add (a superset of the additions is enough,
+    e.g. the lattice points of conv(s)).  Candidates are retested until a
+    full pass adds none, because each addition can bring others within
+    reach."""
     current = list(s.points)
     pending = [z for z in candidates if z not in s]
     while True:
         left = []
         for z in pending:
-            if _hull_support(z, current) is None:
+            if _hull_support(z, current, k) is None:
                 left.append(z)
             else:
                 current.append(z)
@@ -232,7 +231,7 @@ def is_k_convex(s: PointSet, k: int) -> Verdict:
         members = s.member_set()
         for z in lattice_points_in_conv(s).points:
             if z not in members:
-                support = _hull_support(z, s.points)
+                support = _hull_support(z, s.points, 2)
                 if support is not None:
                     return Verdict(False, ConvexityWitness(tuple(sorted(support)), z))
         return Verdict(True)
@@ -269,8 +268,8 @@ def k_convex_hull(s: PointSet, k: int) -> PointSet:
     _, basis = affine_hull_basis(s)
     if k >= len(basis):
         return lattice_points_in_conv(s)
-    if k == 2:
-        return _candidate_closure(s, lattice_points_in_conv(s).points)
+    if k <= 2:
+        return _candidate_closure(s, lattice_points_in_conv(s).points, k)
     return _closure_sweep(s, k)
 
 
@@ -381,8 +380,8 @@ def classify_holes(a: PointSet) -> list[HoleReport]:
     # The k-hull of the (k-1)-hull is the k-hull of A, and the k = rank
     # hull is all of conv(A), so holes left by k = rank - 1 get k = rank.
     for k in range(1, rank):
-        if k == 2:
-            hull = _candidate_closure(hull, [z for z in holes if z not in first_k])
+        if k <= 2:
+            hull = _candidate_closure(hull, [z for z in holes if z not in first_k], k)
         else:
             hull = _closure_sweep(hull, k)
         for z in holes:

@@ -80,13 +80,14 @@ def enumerate_family(dims, family: str = "any", start_mask: int = 0):
 
 def bipartitions(s: PointSet):
     """All (A, B) with both sides nonempty, up to the A/B swap: the
-    lexicographically smallest point always goes to A."""
+    lexicographically smallest point always goes to A.  The sides are
+    sorted slices of s's points, so they skip ``PointSet.of``."""
     rest = list(s.points[1:])
     n = len(rest)
     for mask in range(0, (1 << n) - 1):
         a = [s.points[0]] + [rest[i] for i in range(n) if mask >> i & 1]
         b = [rest[i] for i in range(n) if not mask >> i & 1]
-        yield Partition.of(a, b, s.dim)
+        yield Partition(PointSet(s.dim, tuple(a)), PointSet(s.dim, tuple(b)))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from . import linalg
 from .errors import DimensionMismatchError, UnsupportedDimensionError
@@ -82,9 +82,6 @@ class AffineFunctional:
             raise DimensionMismatchError("functional/point dimension mismatch")
         return sum((n * x for n, x in zip(self.normal, point)), Fraction(0)) - self.offset
 
-    def is_constant(self) -> bool:
-        return all(n == 0 for n in self.normal)
-
     def primitive(self) -> "AffineFunctional":
         """Equivalent functional with coprime integer data (same sign)."""
         *normal, offset = linalg.integer_primitive(self.normal + (self.offset,))
@@ -146,13 +143,7 @@ def bounding_box(points) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def box_points(lo, hi):
     """All integer points of the box [lo, hi], lexicographic order."""
-    if len(lo) == 1:
-        for x in range(lo[0], hi[0] + 1):
-            yield (x,)
-        return
-    for x in range(lo[0], hi[0] + 1):
-        for rest in box_points(lo[1:], hi[1:]):
-            yield (x,) + rest
+    return product(*(range(l, h + 1) for l, h in zip(lo, hi)))
 
 
 def lattice_points_in_conv(s: PointSet) -> PointSet:
@@ -171,25 +162,31 @@ def satisfies(x, den, pairs) -> bool:
     return all(sum(a * b for a, b in zip(n, x)) >= c * den for n, c in pairs)
 
 
+def opposite_pairs(p, points):
+    """Yield (q, r) for points q, r of ``points`` with p strictly inside
+    the segment [q, r]: each r whose vector r - p has the primitive
+    direction opposite to that of some earlier q - p, with q the first
+    such point.  Points equal to p are skipped.
+
+    One pass that buckets the vectors by ``linalg.primitive_part``; the
+    opposite-direction test under the ray check, the 1-hull and the hull
+    prune (see the algorithm notes in docs/)."""
+    seen: dict[tuple[int, ...], IntPoint] = {}
+    for r in points:
+        u, g = linalg.primitive_part(tuple(a - b for a, b in zip(r, p)))
+        if not g:
+            continue
+        q = seen.get(tuple(-c for c in u))
+        if q is not None:
+            yield q, r
+        seen.setdefault(u, r)
+
+
 def _hull_candidates(points) -> list[IntPoint]:
     """The points that lie strictly inside no segment between two others.
-
-    p is strictly inside such a segment exactly when two vectors q - p
-    have opposite primitive directions.  A vertex of conv(points) never
-    is, so the survivors have the same hull."""
-    keep = []
-    for p in points:
-        seen = set()
-        for q in points:
-            if q == p:
-                continue
-            u, _ = linalg.primitive_part(tuple(a - b for a, b in zip(q, p)))
-            if tuple(-c for c in u) in seen:
-                break
-            seen.add(u)
-        else:
-            keep.append(p)
-    return keep
+    A vertex of conv(points) never does, so the survivors have the same
+    hull."""
+    return [p for p in points if next(opposite_pairs(p, points), None) is None]
 
 
 def integer_facets(points) -> list[tuple[tuple[int, ...], int]]:
@@ -260,32 +257,16 @@ def line_key(point, direction):
     )
 
 
-def iter_lines(points: list[IntPoint]):
-    """Yield (direction, [trace, ...]) for every line with >= 2 points,
-    grouped by canonical primitive direction, deterministically ordered.
-
-    ``points`` must be lexicographically sorted; traces come out in
-    increasing parameter order (which coincides with lex order for
-    canonical directions).
-    """
-    directions = set()
-    for p, q in combinations(points, 2):
-        directions.add(linalg.canonical_direction(tuple(b - a for a, b in zip(p, q))))
-    for d in sorted(directions):
-        buckets: dict[tuple, list[IntPoint]] = {}
-        for p in points:
-            buckets.setdefault(line_key(p, d), []).append(p)
-        traces = [tr for _, tr in sorted(buckets.items()) if len(tr) >= 2]
-        if traces:
-            yield d, traces
-
-
 def lines_through(s: PointSet) -> list[Line]:
-    """Every line containing at least two points of s, exactly once."""
+    """Every line containing at least two points of s, exactly once,
+    ordered by (canonical direction, ``line_key``); each trace is in
+    increasing parameter order, which is lex order for a canonical
+    direction."""
     if len(s) < 2:
         raise DimensionMismatchError("need at least two points")
-    out = []
-    for d, traces in iter_lines(list(s.points)):
-        for tr in traces:
-            out.append(Line(tr[0], d, tuple(tr)))
-    return out
+    lines: dict[tuple, set[IntPoint]] = {}
+    for p, q in combinations(s.points, 2):
+        d = linalg.canonical_direction(tuple(b - a for a, b in zip(p, q)))
+        lines.setdefault((d, line_key(p, d)), set()).update((p, q))
+    traces = ((d, tuple(sorted(pts))) for (d, _), pts in sorted(lines.items()))
+    return [Line(tr[0], d, tr) for d, tr in traces]

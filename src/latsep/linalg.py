@@ -2,7 +2,7 @@
 nullspaces and primitive vectors.
 
 Elimination is fraction-free (Bareiss) on integer vectors; only
-``integer_primitive`` and ``canonical_direction`` accept rationals, to
+``common_denominator`` and ``integer_primitive`` accept rationals, to
 scale them to integers.  Nothing here touches floating point; results
 are exact and deterministic.
 """
@@ -73,13 +73,11 @@ def integer_primitive(vec) -> tuple[int, ...]:
     return tuple(v // g for v in ints) if g else tuple(ints)
 
 
-def canonical_direction(vec) -> tuple[int, ...]:
-    """Primitive integer vector with the first nonzero entry positive."""
-    prim = integer_primitive(vec)
-    for v in prim:
-        if v != 0:
-            return prim if v > 0 else tuple(-x for x in prim)
-    return prim
+def canonical_direction(vec: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive part u of an integer vector, signed so that the
+    first nonzero entry is positive: the lexicographic max of u and -u."""
+    u, _ = primitive_part(vec)
+    return max(u, tuple(-c for c in u))
 
 
 def independent_subset(vectors) -> list[tuple[int, ...]]:

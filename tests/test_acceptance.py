@@ -315,9 +315,10 @@ def test_criterion_8_windowed_flags():
             ok = ok and par and flag and slowest < 3
         notes.append(f"P2,P3,H@{n}:True (par {slowest:.2f}s)")
 
-    # the line sweep is quadratic in the window's point count, so the ray
-    # condition is exercised on the lower rungs of the ladder
-    for n in (10, 20):
+    # the ray check makes one opposite-direction pass per point against
+    # the other side, quadratic in the window's (2n+1)^2 points, so it is
+    # exercised on the lower rungs of the ladder
+    for n in (10, 20, 25):
         for build in (sqrt2_halfplane_window, quarter_boundary_window):
             p = build(n)
             ok = ok and check_ray(p).holds

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latsep import conditions
+from latsep import conditions, linalg
 from latsep.conditions import (
     Partition,
     SeparatingFlag,
@@ -18,7 +19,15 @@ from latsep.conditions import (
     verify_flag,
 )
 from latsep.errors import DimensionMismatchError, InvalidFlagError, LatsepError
-from latsep.geometry import AffineFunctional, PointSet, lattice_points_in_conv
+from latsep.geometry import (
+    AffineFunctional,
+    Line,
+    PointSet,
+    lattice_points_in_conv,
+    line_key,
+    lines_through,
+)
+from latsep.verdicts import RayViolation, Verdict
 
 
 def _p44():
@@ -202,6 +211,79 @@ class TestRay:
         v = check_ray(p)
         assert not v.holds
         assert v.witness.direction == (1, 1)
+
+
+# The all-directions line sweep that the ray check and ``lines_through``
+# ran before the opposite-direction kernel, kept verbatim as their oracle.
+
+def _sweep_canonical_direction(vec):
+    prim = linalg.integer_primitive(vec)
+    for v in prim:
+        if v != 0:
+            return prim if v > 0 else tuple(-x for x in prim)
+    return prim
+
+
+def _sweep_iter_lines(points):
+    directions = set()
+    for p, q in combinations(points, 2):
+        directions.add(_sweep_canonical_direction(tuple(b - a for a, b in zip(p, q))))
+    for d in sorted(directions):
+        buckets = {}
+        for p in points:
+            buckets.setdefault(line_key(p, d), []).append(p)
+        traces = [tr for _, tr in sorted(buckets.items()) if len(tr) >= 2]
+        if traces:
+            yield d, traces
+
+
+def _sweep_check_ray(p):
+    side = {q: "A" for q in p.a.points}
+    side.update({q: "B" for q in p.b.points})
+    pts = sorted(side)
+    for direction, traces in _sweep_iter_lines(pts):
+        for tr in traces:
+            sides = [side[q] for q in tr]
+            count_a = sides.count("A")
+            if count_a == 0 or count_a == len(tr):
+                continue
+            idx = [i for i, sd in enumerate(sides) if sd == "A"]
+            if idx[-1] == count_a - 1 or idx[0] == len(tr) - count_a:
+                continue
+            return Verdict(
+                False, RayViolation(tr[0], direction, tuple(tr), tuple(sides))
+            )
+    return Verdict(True)
+
+
+def _sweep_lines_through(s):
+    out = []
+    for d, traces in _sweep_iter_lines(list(s.points)):
+        for tr in traces:
+            out.append(Line(tr[0], d, tuple(tr)))
+    return out
+
+
+@st.composite
+def _ray_partition(draw):
+    """At most 12 distinct points of [-3, 3]^d, d <= 3, each assigned to
+    a side, with the first on A and the second on B."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-3, 3)] * dim)
+    pts = draw(st.lists(point, min_size=2, max_size=12, unique=True))
+    on_a = [True, False] + draw(st.lists(st.booleans(), min_size=len(pts) - 2, max_size=len(pts) - 2))
+    a = [q for q, x in zip(pts, on_a) if x]
+    b = [q for q, x in zip(pts, on_a) if not x]
+    return Partition.of(a, b, dim)
+
+
+class TestRayAgainstLineSweep:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_ray_partition())
+    def test_same_violation_and_lines(self, p):
+        assert repr(check_ray(p)) == repr(_sweep_check_ray(p))
+        s = p.union()
+        assert lines_through(s) == _sweep_lines_through(s)
 
 
 class TestVerifyFlag:

@@ -354,6 +354,7 @@ class TestTargetDrivenClosure:
         strict = 0
         not_two_convex = 0
         for s in _random_spanning_sets(2, 200, (4, 5), 4):
+            assert k_convex_hull(s, 1) == _closure_sweep(s, 1)
             hull = k_convex_hull(s, 2)
             assert hull == _closure_sweep(s, 2)
             for t in (s, hull):
@@ -427,7 +428,7 @@ class TestHullSupportKernel:
     @given(_kernel_case())
     def test_support_is_sound_and_complete(self, case):
         z, pts = case
-        support = _hull_support(z, pts)
+        support = _hull_support(z, pts, 2)
         if support is not None:
             assert 2 <= len(support) <= 3
             assert set(support) <= set(pts)
@@ -440,8 +441,10 @@ class TestHullSupportKernel:
             )
 
     def test_segment_and_triangle_supports(self):
-        assert set(_hull_support((1, 1), [(0, 0), (3, 0), (2, 2)])) == {(0, 0), (2, 2)}
+        for k in (1, 2):
+            assert set(_hull_support((1, 1), [(0, 0), (3, 0), (2, 2)], k)) == {(0, 0), (2, 2)}
         tetra = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)]
-        assert set(_hull_support((1, 1, 1), tetra)) == set(tetra[1:])
+        assert set(_hull_support((1, 1, 1), tetra, 2)) == set(tetra[1:])
+        assert _hull_support((1, 1, 1), tetra, 1) is None
         small = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
-        assert _hull_support((1, 1, 1), small) is None
+        assert _hull_support((1, 1, 1), small, 2) is None
