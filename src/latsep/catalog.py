@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from fractions import Fraction
 from typing import Callable
 
 from .conditions import (
@@ -92,8 +91,7 @@ def sqrt2_window_flag(n: int) -> SeparatingFlag:
     p, q = 1, 1
     while q <= 2 * n:
         p, q = p + 2 * q, p + q  # next convergent of sqrt(2)
-    g = AffineFunctional.of([Fraction(-p, q), Fraction(1)], 0)
-    return SeparatingFlag(2, (g.primitive(),), "A")
+    return SeparatingFlag(2, (AffineFunctional.of([-p, q], 0),), "A")
 
 
 def quarter_boundary_window(n: int) -> Partition:
@@ -160,7 +158,7 @@ def _run_ex_quarter_window() -> list[ClaimResult]:
     p = quarter_boundary_window(n)
     flag = quarter_boundary_flag()
     chain = lex_flag_to_subspace_chain(flag)
-    origin_only = chain[0][0] == (Fraction(0), Fraction(0)) and chain[0][1] == []
+    origin_only = chain[0][0] == (0, 0) and chain[0][1] == []
     return [
         _c(eid, f"two-level flag verifies on window {n}", verify_flag(p, flag)),
         _c(eid, "2-parallelogram condition holds", check_parallelogram(p, 2).holds),

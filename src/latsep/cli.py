@@ -45,7 +45,7 @@ from .errors import (
     LatsepError,
     UnsupportedDimensionError,
 )
-from .explorer import CONDITIONS, FAMILY_FILTERS, conjecture_hunt, test_equivalence
+from .explorer import CONDITIONS, FAMILY_FILTERS, MAX_GRID_CELLS, conjecture_hunt, test_equivalence
 from .geometry import AffineFunctional, PointSet, bounding_box, box_points, lattice_points_in_conv
 from .svgplot import render_svg
 from .verdicts import BlockingFlat
@@ -396,6 +396,8 @@ def _parse_grid(text: str) -> tuple[int, ...]:
         raise InstanceFormatError(f"bad grid spec {text!r}; use e.g. 3x3") from None
     if not dims or any(v < 1 for v in dims):
         raise InstanceFormatError(f"bad grid spec {text!r}; use e.g. 3x3")
+    if prod(dims) > MAX_GRID_CELLS:
+        raise InstanceFormatError(f"grid {text!r} has more than {MAX_GRID_CELLS} cells")
     return dims
 
 
@@ -451,16 +453,24 @@ def _cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _positive_int(text: str) -> int:
-    """argparse type for --k.  A value below 1 becomes a usage error
-    (exit 2), never a traceback with exit 1, which means "fails"."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type for an integer option of at least ``low``.  A smaller
+    value becomes a usage error (exit 2), never a traceback with exit 1,
+    which means "fails"."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     cj = ex_sub.add_parser("conjecture")
     cj.add_argument("--budget", type=int, default=100)
     cj.add_argument("--seed", type=int, default=0)
-    cj.add_argument("--box", type=int, default=2)
+    cj.add_argument("--box", type=_int_at_least(0, "non-negative"), default=2)
     cj.add_argument("--max-size", type=int, default=12)
     cj.add_argument("--checkpoint", default=None)
     ex.set_defaults(fn=_cmd_explore)

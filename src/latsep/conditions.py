@@ -291,33 +291,31 @@ def _flats_of(flag: SeparatingFlag):
 
     Each flat is (anchor, basis) with a rational anchor and primitive
     integer directions; raises InvalidFlagError when some level is
-    constant on the previous flat.
+    constant on the previous flat.  For c the level's coefficients on
+    the basis, v becomes |c0| v - sign(c0) c_v b0, a positive multiple
+    of v - (c_v / c0) b0.
     """
     d = flag.dim
     anchor = tuple(Fraction(0) for _ in range(d))
     basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    flats = [(anchor, [tuple(v) for v in basis])]
+    flats = [(anchor, basis)]
     for level, g in enumerate(flag.functionals):
         if len(g.normal) != d:
             raise DimensionMismatchError("functional dimension mismatch")
-        coeffs = [sum(n * Fraction(x) for n, x in zip(g.normal, v)) for v in basis]
+        coeffs = [sum(n * x for n, x in zip(g.normal, v)) for v in basis]
         j0 = next((j for j, c in enumerate(coeffs) if c != 0), None)
         if j0 is None:
             raise InvalidFlagError(f"level {level + 1} is constant on the current flat")
-        const = g.value(anchor)
-        t0 = -const / coeffs[j0]
-        anchor = tuple(a + t0 * Fraction(v) for a, v in zip(anchor, basis[j0]))
-        new_basis = []
-        for j, v in enumerate(basis):
-            if j == j0:
-                continue
-            ratio = coeffs[j] / coeffs[j0]
-            direction = tuple(
-                Fraction(x) - ratio * Fraction(y) for x, y in zip(v, basis[j0])
-            )
-            new_basis.append(linalg.integer_primitive(direction))
-        basis = new_basis
-        flats.append((anchor, [tuple(v) for v in basis]))
+        b0, c0 = basis[j0], coeffs[j0]
+        t0 = -g.value(anchor) / c0
+        anchor = tuple(a + t0 * v for a, v in zip(anchor, b0))
+        sign = 1 if c0 > 0 else -1
+        basis = [
+            linalg.primitive_part(tuple(sign * (c0 * x - c * y) for x, y in zip(v, b0)))[0]
+            for j, (v, c) in enumerate(zip(basis, coeffs))
+            if j != j0
+        ]
+        flats.append((anchor, basis))
     return flats
 
 
@@ -361,10 +359,10 @@ def _tau_map(anchor, basis):
 
 
 def _tau_to_ambient(p_vec, q_val, dmap, anchor) -> AffineFunctional:
-    """The primitive functional x -> p . tau(x) - q for integer p, q."""
+    """The functional x -> p . tau(x) - q for integer p, q, made
+    primitive by ``AffineFunctional.of``."""
     normal = [sum(p * row[j] for p, row in zip(p_vec, dmap)) for j in range(len(anchor))]
     offset = q_val + sum(n * a for n, a in zip(normal, anchor))
-    *normal, offset = linalg.integer_primitive(normal + [offset])
     return AffineFunctional.of(normal, offset)
 
 
@@ -393,8 +391,9 @@ def search_flag(p: Partition) -> Verdict:
     On success the witness is a verifying SeparatingFlag; on failure it
     is the affine flat on which every weak separator of the remaining
     points is constant.  All arithmetic is on integers: the tau
-    coordinates, the LP rows, and the dual functionals, each scaled by a
-    positive common denominator and summed as integers.
+    coordinates, the LP rows, and the LP's points and dual functionals,
+    which come over the tableau's positive denominator and are summed
+    as integers.
     """
     a_live = list(p.a.points)
     b_live = list(p.b.points)
@@ -429,7 +428,7 @@ def search_flag(p: Partition) -> Verdict:
         if not system.feasible:
             # The hulls of the live sides are disjoint: the Farkas vector
             # yields a separator with a uniform gap, strict at every point.
-            y = linalg.integer_primitive(system.farkas_duals())
+            y, _ = system.farkas_duals()
             g = _tau_to_ambient([-2 * v for v in y[:r]], y[r] - y[r + 1], dmap, anchor)
             funcs.append(g)
             a_live, b_live = [], []
@@ -438,7 +437,7 @@ def search_flag(p: Partition) -> Verdict:
         # E: the live points with positive weight in some common point of
         # the sides' hulls.  (p_acc, q_acc) / acc_den sums the dual
         # separators collected for the points off E.
-        in_e = {q for q, x in zip(cols, system.feasible_point()) if x > 0}
+        in_e = {q for q, x in zip(cols, system.feasible_point()[0]) if x > 0}
         col_of = {q: i for i, q in enumerate(cols)}
         p_acc = [0] * r
         q_acc = 0
@@ -452,8 +451,8 @@ def search_flag(p: Partition) -> Verdict:
             if res.objective < 0:
                 in_e.update(pt for pt, x in zip(cols, res.x) if x > 0)
                 continue
-            y, den = linalg.common_denominator(res.y)
-            g_p, g_q = _weak_separator(y, r, tau, a_sorted, b_sorted, q)
+            g_p, g_q = _weak_separator(res.y, r, tau, a_sorted, b_sorted, q)
+            den = res.den
             p_acc = [a * den + b * acc_den for a, b in zip(p_acc, g_p)]
             q_acc = q_acc * den + g_q * acc_den
             acc_den *= den

@@ -24,4 +24,5 @@ class EmptyInteriorError(LatsepError):
 
 
 class InstanceFormatError(LatsepError):
-    """An instance or flag file failed to parse or validate."""
+    """An instance, flag or checkpoint file, or another input, failed to
+    parse or validate."""

@@ -1,18 +1,18 @@
-"""Exact rational linear programming on an integer tableau.
+"""Exact linear programming on an integer tableau: integers in, integers out.
 
 A small dense two-phase primal simplex with Dantzig pricing and Bland's
 anti-cycling rule.  Problems are given in equality standard form
 
     minimize c.x   subject to  A x = b,  x >= 0,  b >= 0,
 
-with integer or rational data, which is what the geometric feasibility
+with integer A, b and c, which is what the geometric feasibility
 questions in this library reduce to.  The tableau is fraction-free:
 integer entries over one common denominator D > 0, pivoted by the
 integer-preserving rule of Edmonds and Bareiss, in which every division
-is exact (the algorithm notes in docs/ give the argument).  Because every
-pivot is exact, "optimal", "infeasible" and "unbounded" are
-certificates, not approximations.  The artificial columns stay in the
-tableau, so optimal bases yield exact dual vectors and infeasible
+is exact (the algorithm notes in docs/ give the argument), and results
+are integers over D.  Because every pivot is exact, "optimal", "infeasible" and "unbounded"
+are certificates, not approximations.  The artificial columns stay in
+the tableau, so optimal bases yield exact dual vectors and infeasible
 systems exact Farkas vectors without a further solve.
 
 ``EqualityFeasibility`` additionally caches the phase-1 work so that many
@@ -23,8 +23,6 @@ flag-separation search leans on this heavily.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm, prod
 
 from .errors import LatsepError
 
@@ -35,20 +33,17 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LPResult:
-    """``y`` holds the optimal dual values, one per original row: they
-    satisfy c_j - y.A_j >= 0 for every column j, with equality on the
-    basis."""
+    """An optimum over the tableau denominator ``den`` > 0: objective /
+    den, the point x / den, and duals y / den with one value per original
+    row, so that c_j - y.A_j / den >= 0 for every column j, with equality
+    on the basis."""
 
     status: str
-    objective: Fraction | None = None
-    x: list[Fraction] | None = None
+    objective: int | None = None
+    x: list[int] | None = None
     basis: list[int] | None = None
-    y: list[Fraction] | None = None
-
-
-def _integers(values, den) -> list[int]:
-    """den times the ints or Fractions ``values``, which den must clear."""
-    return [v.numerator * (den // v.denominator) for v in values]
+    y: list[int] | None = None
+    den: int | None = None
 
 
 def _zrow(costs, rows, basis, den, width) -> list[int]:
@@ -146,15 +141,13 @@ def _run(rows, z, basis, den, ncols) -> tuple[str, int]:
 
 
 class EqualityFeasibility:
-    """Phase-1 solved once for A x = b, x >= 0; then many phase-2 objectives.
+    """Phase-1 solved once for A x = b, x >= 0 with integer A and b; then
+    many phase-2 objectives.
 
-    Row i and its artificial column are scaled by the lcm s_i of the
-    row's denominators, so the starting basis has determinant
-    D = prod(s_i) and the tableau starts as D times [A | I | b]: the
-    phase-1 tableau of the unscaled system, in integers.  Rows found
-    redundant during phase 1 are dropped internally; dual vectors are
-    always reported in terms of the original rows (redundant rows get
-    multiplier zero).
+    The starting basis is the artificial identity, so the tableau starts
+    as [A | I | b] over D = 1.  Rows found redundant during phase 1 are
+    dropped internally; dual vectors are always reported in terms of the
+    original rows (redundant rows get multiplier zero).
     """
 
     def __init__(self, a_rows, b):
@@ -162,20 +155,19 @@ class EqualityFeasibility:
         self.n = n = len(a_rows[0]) if a_rows else 0
         if any(v < 0 for v in b):
             raise ValueError("right-hand side must be nonnegative")
-        den = prod(lcm(*(v.denominator for v in row), bv.denominator) for row, bv in zip(a_rows, b))
-        rows = []
-        for i, (row, bv) in enumerate(zip(a_rows, b)):
-            *coeffs, rhs = _integers([*row, bv], den)
-            rows.append(coeffs + [den * (t == i) for t in range(m)] + [rhs])
+        rows = [
+            list(row) + [int(t == i) for t in range(m)] + [bv]
+            for i, (row, bv) in enumerate(zip(a_rows, b))
+        ]
         basis = [n + i for i in range(m)]
-        z = _zrow([0] * n + [1] * m, rows, basis, den, n + m + 1)
-        status, den = _run(rows, z, basis, den, n + m)
+        z = _zrow([0] * n + [1] * m, rows, basis, 1, n + m + 1)
+        status, den = _run(rows, z, basis, 1, n + m)
         if status != OPTIMAL:
             raise LatsepError("phase 1 unbounded, but its objective is at least 0")
         self.feasible = z[-1] == 0
         if not self.feasible:
-            # y = c_B B^-1 for phase-1 costs: 1 - z_{n+i} on artificial i
-            self._farkas = [1 - Fraction(z[n + i], den) for i in range(m)]
+            # y = c_B B^-1 for phase-1 costs: 1 - z_{n+i} / den on artificial i
+            self._farkas = [den - z[n + i] for i in range(m)], den
             return
 
         # Drive artificials out of the basis, dropping redundant rows.
@@ -191,56 +183,38 @@ class EqualityFeasibility:
         self._basis = [bi for i, bi in enumerate(basis) if i not in drop]
         self._den = den
 
-    def feasible_point(self) -> list[Fraction]:
+    def feasible_point(self) -> tuple[list[int], int]:
+        """(x, den): one basic solution x / den of the system."""
         if not self.feasible:
             raise LatsepError("feasible_point of an infeasible system")
-        x = [Fraction(0)] * self.n
-        for row, bi in zip(self._rows, self._basis):
-            x[bi] = Fraction(row[-1], self._den)
-        return x
+        return _point(self._rows, self._basis, self.n), self._den
 
     def minimize(self, costs) -> LPResult:
-        """Minimize costs.x over the feasible region (costs: length n,
-        ints or Fractions)."""
+        """Minimize costs.x over the feasible region (costs: n integers)."""
         if not self.feasible:
             return LPResult(INFEASIBLE)
         n = self.n
         rows = [row[:] for row in self._rows]
         basis = self._basis[:]
-        scale = lcm(*(c.denominator for c in costs))
-        z = _zrow(_integers(costs, scale), rows, basis, self._den, n + self.m0 + 1)
+        z = _zrow(costs, rows, basis, self._den, n + self.m0 + 1)
         status, den = _run(rows, z, basis, self._den, n)
         if status != OPTIMAL:
             return LPResult(UNBOUNDED)
-        x = [Fraction(0)] * n
-        for row, bi in zip(rows, basis):
-            x[bi] = Fraction(row[-1], den)
         # y = c_B B^-1 is minus the reduced cost of each artificial column
-        y = [Fraction(-z[n + i], den * scale) for i in range(self.m0)]
-        return LPResult(OPTIMAL, Fraction(-z[-1], den * scale), x, basis, y)
+        y = [-z[n + i] for i in range(self.m0)]
+        return LPResult(OPTIMAL, -z[-1], _point(rows, basis, n), basis, y, den)
 
-    def farkas_duals(self) -> list[Fraction]:
-        """For an infeasible system: y with y.b > 0 and y.A_j <= 0 for all j."""
+    def farkas_duals(self) -> tuple[list[int], int]:
+        """For an infeasible system: (y, den) with y.b > 0 and y.A_j <= 0
+        for all j."""
         if self.feasible:
             raise LatsepError("farkas_duals of a feasible system")
         return self._farkas
 
 
-def feasible_point(a_rows, b) -> list[Fraction] | None:
-    """One exact solution of A x = b, x >= 0, or None.
-
-    Rows with negative right-hand side are flipped internally.
-    """
-    fixed_a = []
-    fixed_b = []
-    for row, bv in zip(a_rows, b):
-        if bv < 0:
-            fixed_a.append([-v for v in row])
-            fixed_b.append(-bv)
-        else:
-            fixed_a.append(list(row))
-            fixed_b.append(bv)
-    sys = EqualityFeasibility(fixed_a, fixed_b)
-    if not sys.feasible:
-        return None
-    return sys.feasible_point()
+def _point(rows, basis, n) -> list[int]:
+    """The basic solution, times the tableau denominator."""
+    x = [0] * n
+    for row, bi in zip(rows, basis):
+        x[bi] = row[-1]
+    return x

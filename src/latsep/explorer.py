@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 
 from .conditions import Partition, check_parallelogram, check_ray, search_flag
 from .convexity import is_hole_free, is_integrally_convex, is_k_convex
+from .errors import InstanceFormatError
 from .geometry import IntPoint, PointSet, lattice_points_in_conv
 from .verdicts import Verdict
 
-MAX_GRID_SUBSETS = 1 << 24
+# Most cells a grid may have: its 2**cells subsets are enumerated.
+MAX_GRID_CELLS = 24
 
 FAMILY_FILTERS = ("any", "hole-free", "integrally-convex", "1-convex")
 
@@ -68,7 +70,7 @@ def enumerate_family(dims, family: str = "any", start_mask: int = 0):
     order (deterministic), starting after ``start_mask``."""
     cells = grid_points(dims)
     n = len(cells)
-    if (1 << n) > MAX_GRID_SUBSETS:
+    if n > MAX_GRID_CELLS:
         raise ValueError(f"grid with {n} cells is too large to enumerate")
     for mask in range(max(1, start_mask + 1), 1 << n):
         s = PointSet.of(
@@ -246,11 +248,19 @@ def _equivalence_state(report: EquivalenceReport, cursor: int) -> dict:
 
 
 def _load_checkpoint(path: str) -> dict | None:
+    """The JSON object stored at ``path``, or None when there is no file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            state = json.load(fh)
     except FileNotFoundError:
         return None
+    except json.JSONDecodeError as e:
+        raise InstanceFormatError(
+            f"checkpoint {path}: line {e.lineno}, column {e.colno}: {e.msg}"
+        ) from None
+    if not isinstance(state, dict):
+        raise InstanceFormatError(f"checkpoint {path}: top level must be an object")
+    return state
 
 
 def _save_checkpoint(path: str, state: dict) -> None:

@@ -1,22 +1,24 @@
-"""Lattice and affine geometry primitives, all in exact arithmetic.
+"""Lattice and affine geometry primitives, all in exact integer arithmetic.
 
-Points are tuples of Python ints.  Hulls, affine hulls and their
+Points are tuples of Python ints, and an ``AffineFunctional`` holds a
+primitive integer (normal, offset) pair.  Hulls, affine hulls and their
 equations are computed on integer vectors by fraction-free elimination
-(``linalg``); rationals appear only in ``AffineFunctional`` coefficients
-and in points passed to the convex-hull membership test, which is
-decided by the exact simplex of ``exactlp``.  Nothing here uses floating
-point, so every answer produced here can serve as a certificate.
+(``linalg``).  Rationals are accepted only at the edges and scaled to
+integers at once: the coefficients given to ``AffineFunctional.of`` and
+a rational point given to the convex-hull membership test, which is
+decided by the integer simplex of ``exactlp``.  Nothing here uses
+floating point, so every answer produced here can serve as a
+certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg
 from .errors import DimensionMismatchError, UnsupportedDimensionError
-from .exactlp import feasible_point
+from .exactlp import EqualityFeasibility
 
 IntPoint = tuple[int, ...]
 
@@ -68,24 +70,23 @@ class PointSet:
 
 @dataclass(frozen=True)
 class AffineFunctional:
-    """g(x) = <normal, x> - offset, with exact rational coefficients."""
+    """g(x) = <normal, x> - offset, with coprime integer coefficients."""
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
+    normal: tuple[int, ...]
+    offset: int
 
     @classmethod
     def of(cls, normal, offset) -> "AffineFunctional":
-        return cls(tuple(Fraction(v) for v in normal), Fraction(offset))
+        """The functional of rational (normal, offset) data, scaled by a
+        positive factor to the primitive integer pair, so that its sign
+        at every point is kept."""
+        *normal, offset = linalg.integer_primitive((*normal, offset))
+        return cls(tuple(normal), offset)
 
-    def value(self, point) -> Fraction:
+    def value(self, point):
         if len(point) != len(self.normal):
             raise DimensionMismatchError("functional/point dimension mismatch")
-        return sum((n * x for n, x in zip(self.normal, point)), Fraction(0)) - self.offset
-
-    def primitive(self) -> "AffineFunctional":
-        """Equivalent functional with coprime integer data (same sign)."""
-        *normal, offset = linalg.integer_primitive(self.normal + (self.offset,))
-        return AffineFunctional.of(normal, offset)
+        return sum(n * x for n, x in zip(self.normal, point)) - self.offset
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def affine_hull_basis(s: PointSet) -> tuple[IntPoint, list[tuple[int, ...]]]:
 def point_in_conv(x, s: PointSet) -> bool:
     """Exact test: is x a convex combination of the points of s?
 
-    x may have Fraction coordinates.
+    x may have rational coordinates.
     """
     return convex_combination_support(x, s) is not None
 
@@ -122,17 +123,19 @@ def point_in_conv(x, s: PointSet) -> bool:
 def convex_combination_support(x, s: PointSet) -> list[IntPoint] | None:
     """Points of s carrying positive weight in one convex representation
     of x, or None when x is outside conv(s).  The support has at most
-    dim+1 points (the solver returns a basic solution)."""
-    x = tuple(Fraction(v) for v in x)
+    dim+1 points (the solver returns a basic solution).  For x = xs / den
+    the weights w >= 0 solve sum_j w_j p_j = xs and sum_j w_j = den."""
     if len(x) != s.dim:
         raise DimensionMismatchError("point/set dimension mismatch")
+    xs, den = linalg.common_denominator(x)
     pts = s.points
-    rows = [[p[i] for p in pts] for i in range(s.dim)]
-    rows.append([1] * len(pts))
-    lam = feasible_point(rows, list(x) + [1])
-    if lam is None:
+    signs = [-1 if v < 0 else 1 for v in xs]  # rows with xs_i < 0 are negated
+    rows = [[sign * p[i] for p in pts] for i, sign in enumerate(signs)] + [[1] * len(pts)]
+    system = EqualityFeasibility(rows, [abs(v) for v in xs] + [den])
+    if not system.feasible:
         return None
-    return [pts[i] for i, v in enumerate(lam) if v > 0]
+    weights, _ = system.feasible_point()
+    return [pts[i] for i, v in enumerate(weights) if v > 0]
 
 
 def bounding_box(points) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,10 +1,13 @@
 """Exact integer linear algebra: fraction-free elimination, solving,
 nullspaces and primitive vectors.
 
-Elimination is fraction-free (Bareiss) on integer vectors; only
-``common_denominator`` and ``integer_primitive`` accept rationals, to
-scale them to integers.  Nothing here touches floating point; results
-are exact and deterministic.
+Elimination is fraction-free (Bareiss) on integer vectors.  Only
+``common_denominator`` and ``integer_primitive`` accept rationals: they
+are the one place where rational input (a point given to
+``geometry.point_in_conv``, the coefficients given to
+``AffineFunctional.of``) is scaled to the integers every other layer
+trades.  Nothing here touches floating point; results are exact and
+deterministic.
 """
 
 from __future__ import annotations
@@ -69,8 +72,7 @@ def integer_primitive(vec) -> tuple[int, ...]:
     to itself.
     """
     ints, _ = common_denominator(tuple(vec))
-    g = gcd(*ints)
-    return tuple(v // g for v in ints) if g else tuple(ints)
+    return primitive_part(tuple(ints))[0]
 
 
 def canonical_direction(vec: tuple[int, ...]) -> tuple[int, ...]:

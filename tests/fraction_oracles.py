@@ -361,7 +361,7 @@ def _tau_to_ambient(p_vec, q_val, dmap, anchor) -> AffineFunctional:
     d = len(anchor)
     normal = [sum(Fraction(p_vec[i]) * dmap[i][j] for i in range(len(p_vec))) for j in range(d)]
     offset = Fraction(q_val) + sum(n * a for n, a in zip(normal, anchor))
-    return AffineFunctional.of(normal, offset).primitive()
+    return AffineFunctional.of(normal, offset)
 
 
 def search_flag(p: Partition) -> Verdict:

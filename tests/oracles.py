@@ -25,73 +25,49 @@ from math import gcd
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin feasibility:  rows (a, b) meaning  a . x >= b
 
-def _normalize_row(a, b):
-    g = 0
-    for v in a:
-        g = gcd(g, abs(v.numerator))
-    den = 1
-    for v in list(a) + [b]:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in a]
-    bi = int(b * den)
-    g = 0
-    for v in ints + [bi]:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-        bi = bi // g
-    return tuple(ints), bi
+def _primitive(row):
+    """An integer row (a..., b) divided by the gcd of its entries."""
+    g = gcd(*row)
+    return tuple(v // g for v in row) if g > 1 else tuple(row)
 
 
 def fm_feasible(rows) -> bool:
     """Is {x : a.x >= b for all rows} nonempty?  Exact, by elimination.
 
-    Variables are eliminated greedily (fewest pos*neg combinations
-    first); rows reduced to constants are resolved immediately.
+    Each row is kept as a primitive integer tuple (a..., b).  Variables
+    are eliminated greedily (fewest pos*neg combinations first); rows
+    reduced to constants are resolved immediately.
     """
-    rows = [([Fraction(v) for v in a], Fraction(b)) for a, b in rows]
-    nvars = len(rows[0][0]) if rows else 0
-    remaining = list(range(nvars))
+    rows = [_primitive((*a, b)) for a, b in rows]
+    remaining = list(range(len(rows[0]) - 1 if rows else 0))
     while remaining:
         # prune constant rows
         kept = []
-        for a, b in rows:
-            if all(a[k] == 0 for k in remaining):
-                if b > 0:
+        for row in rows:
+            if all(row[k] == 0 for k in remaining):
+                if row[-1] > 0:
                     return False
             else:
-                kept.append((a, b))
+                kept.append(row)
         rows = kept
         if not rows:
             return True
         k = min(
             remaining,
-            key=lambda j: sum(1 for a, _ in rows if a[j] > 0)
-            * sum(1 for a, _ in rows if a[j] < 0),
+            key=lambda j: sum(1 for row in rows if row[j] > 0)
+            * sum(1 for row in rows if row[j] < 0),
         )
         remaining.remove(k)
-        pos, neg, zero = [], [], []
-        for a, b in rows:
-            if a[k] > 0:
-                pos.append((a, b))
-            elif a[k] < 0:
-                neg.append((a, b))
-            else:
-                zero.append((a, b))
-        new = {}
-        for az, bz in zero:
-            new[_normalize_row(az, bz)] = (az, bz)
-        for ap, bp in pos:
-            for an, bn in neg:
-                coef_p = -an[k]
-                coef_n = ap[k]
-                a = [coef_p * u + coef_n * v for u, v in zip(ap, an)]
-                b = coef_p * bp + coef_n * bn
-                new[_normalize_row(a, b)] = (a, b)
-        rows = list(new.values())
+        pos = [row for row in rows if row[k] > 0]
+        neg = [row for row in rows if row[k] < 0]
+        new = dict.fromkeys(row for row in rows if row[k] == 0)
+        for rp in pos:
+            for rn in neg:
+                new[_primitive([-rn[k] * u + rp[k] * v for u, v in zip(rp, rn)])] = None
+        rows = list(new)
         if not rows:
             return True
-    return all(b <= 0 for _, b in rows)
+    return all(row[-1] <= 0 for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +384,7 @@ def oracle_hull_facets_lp(s):
         n = linalg.integer_primitive(n)
         c = sum(a * b for a, b in zip(n, anchor))
         for sign in (1, -1):
-            g = AffineFunctional.of([sign * v for v in n], sign * c).primitive()
+            g = AffineFunctional.of([sign * v for v in n], sign * c)
             out[(g.normal, g.offset)] = g
     if r == 0:
         return list(out.values())
@@ -424,9 +400,9 @@ def oracle_hull_facets_lp(s):
         c = sum(a * b for a, b in zip(n, base))
         vals = [sum(a * b for a, b in zip(n, p)) - c for p in s.points]
         if all(v >= 0 for v in vals):
-            g = AffineFunctional.of(n, c).primitive()
+            g = AffineFunctional.of(n, c)
         elif all(v <= 0 for v in vals):
-            g = AffineFunctional.of([-v for v in n], -c).primitive()
+            g = AffineFunctional.of([-v for v in n], -c)
         else:
             continue
         out[(g.normal, g.offset)] = g

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,9 @@ from latsep.cli import main, parse_instance, parse_flag_file
 from latsep.conditions import Partition
 from latsep.errors import InstanceFormatError
 from latsep.geometry import PointSet
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 def _write(tmp_path, name, obj):
@@ -206,6 +210,33 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["explore", "equivalence", "--grid", "5x5"],
+            ["explore", "conjecture", "--budget", "2", "--box", "-1"],
+        ],
+    )
+    def test_explore_out_of_range_is_usage_error(self, capsys, command):
+        # a 5x5 grid has 2**25 subsets, and a negative box cannot be sampled
+        try:
+            code = main(command)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{nope", "[1, 2]"])
+    @pytest.mark.parametrize(
+        "mode", [["equivalence", "--grid", "2x2"], ["conjecture", "--budget", "2"]]
+    )
+    def test_malformed_checkpoint_exit_2(self, tmp_path, capsys, text, mode):
+        path = tmp_path / "cp.json"
+        path.write_text(text)
+        assert main(["explore", *mode, "--checkpoint", str(path)]) == 2
+        assert "error: checkpoint" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_hull_lists_points(self, tmp_path, capsys):
         path = _write(tmp_path, "seg.json", {"dim": 2, "S": [[0, 0], [3, 3]]})
@@ -293,5 +324,14 @@ def test_parse_flag_file_fractions(tmp_path):
             }
         )
     )
-    flag = parse_flag_file(str(flag_path))
-    assert flag.functionals[0].normal[0].denominator == 70
+    g = parse_flag_file(str(flag_path)).functionals[0]
+    assert (g.normal, g.offset) == ((-99, 70), 0)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["args"]))
+def test_golden_stdout_and_exit_code(case, capsys, monkeypatch):
+    """Every command that applies to a file in instances/ prints exactly
+    the stdout, and exits with exactly the code, frozen in cli_golden.json."""
+    monkeypatch.chdir(ROOT)
+    assert main(case["args"]) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]

@@ -6,25 +6,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latsep.exactlp
+import latsep.geometry
 from latsep.conditions import Partition, search_flag
 from latsep.errors import LatsepError
-from latsep.exactlp import EqualityFeasibility, feasible_point
+from latsep.exactlp import EqualityFeasibility
+from latsep.geometry import PointSet, convex_combination_support, point_in_conv
+from latsep.linalg import common_denominator
 
 import fraction_oracles
 
 
 def test_feasible_point_convex_combination():
-    # is (2,1,1) a convex combination of (5,0,0),(0,0,3),(1,3,0)?
-    pts = [(5, 0, 0), (0, 0, 3), (1, 3, 0)]
-    rows = [[p[i] for p in pts] for i in range(3)] + [[1, 1, 1]]
-    lam = feasible_point(rows, [2, 1, 1, 1])
-    assert lam == [Fraction(1, 3)] * 3
+    # (2,1,1) is the barycentre of (5,0,0),(0,0,3),(1,3,0): all three carry weight
+    s = PointSet.of([(5, 0, 0), (0, 0, 3), (1, 3, 0)])
+    assert convex_combination_support((2, 1, 1), s) == list(s.points)
+    assert point_in_conv((2, 1, 1), s)
 
 
 def test_feasible_point_negative_rhs_flip():
-    rows = [[1, 0], [0, 1], [1, 1]]
-    lam = feasible_point(rows, [-1, 0, 1])
-    assert lam is None  # x >= 0 cannot hit a negative coordinate sum
+    # negative coordinates flip their rows; a rational point scales the weights
+    s = PointSet.of([(-2, 0), (0, -2), (2, 2)])
+    assert convex_combination_support((-1, -1), s) == [(-2, 0), (0, -2)]
+    assert point_in_conv((Fraction(-3, 2), Fraction(-1, 4)), s)
+    assert not point_in_conv((Fraction(-3, 2), Fraction(-3, 4)), s)
+    assert convex_combination_support((-1, 0), PointSet.of([(0, 0), (1, 0)])) is None
+
+
+def test_no_fraction_in_the_integer_layers():
+    for module in (latsep.exactlp, latsep.geometry):
+        assert Fraction not in vars(module).values()
 
 
 def test_minimize_and_duals_reduced_costs():
@@ -35,15 +46,14 @@ def test_minimize_and_duals_reduced_costs():
     sys_ = EqualityFeasibility(rows, [0, 0, 1, 1])
     assert sys_.feasible
     for i in range(4):
-        costs = [Fraction(0)] * 4
-        costs[i] = Fraction(-1)
+        costs = [0] * 4
+        costs[i] = -1
         res = sys_.minimize(costs)
-        assert res.status == "optimal"
-        assert -res.objective == Fraction(1, 2)
-        y = res.y
+        assert res.status == "optimal" and res.den > 0
+        assert Fraction(-res.objective, res.den) == Fraction(1, 2)
         cols = [[rows[r][j] for r in range(4)] for j in range(4)]
         for j, col in enumerate(cols):
-            rc = costs[j] - sum(a * b for a, b in zip(y, col))
+            rc = costs[j] * res.den - sum(a * b for a, b in zip(res.y, col))
             assert rc >= 0
 
 
@@ -53,7 +63,8 @@ def test_infeasible_farkas_certificate():
     rhs = [0, 1, 1]
     sys_ = EqualityFeasibility(rows, rhs)
     assert not sys_.feasible
-    y = sys_.farkas_duals()
+    y, den = sys_.farkas_duals()
+    assert den > 0
     assert sum(a * b for a, b in zip(y, rhs)) > 0
     for j in range(2):
         col = [rows[i][j] for i in range(3)]
@@ -82,8 +93,8 @@ def test_redundant_rows_are_dropped():
     rows = [[1, 1], [2, 2], [1, 0]]
     sys_ = EqualityFeasibility(rows, [1, 2, 1])
     assert sys_.feasible
-    x = sys_.feasible_point()
-    assert x == [Fraction(1), Fraction(0)]
+    x, den = sys_.feasible_point()
+    assert x == [den, 0] and den > 0
     res = sys_.minimize([0, -1])
     assert res.status == "optimal"
     assert len(res.y) == 3  # duals reported for all original rows
@@ -109,21 +120,26 @@ def _systems(entries):
     )
 
 
+def _fractions(ints, den):
+    return [Fraction(v, den) for v in ints]
+
+
 def _agree(rows, rhs, cost_vectors):
     new = EqualityFeasibility(rows, rhs)
     old = fraction_oracles.EqualityFeasibility(rows, rhs)
     assert new.feasible == old.feasible
     if not new.feasible:
-        assert new.farkas_duals() == old.farkas_duals()
+        assert _fractions(*new.farkas_duals()) == old.farkas_duals()
         return
-    assert new.feasible_point() == old.feasible_point()
+    assert _fractions(*new.feasible_point()) == old.feasible_point()
     for costs in cost_vectors:
         got = new.minimize(costs)
         want = old.minimize(costs)
         assert got.status == want.status
         if want.status == "optimal":
-            assert (got.objective, got.x, got.basis) == (want.objective, want.x, want.basis)
-            assert got.y == old.duals(costs, want.basis)
+            assert Fraction(got.objective, got.den) == want.objective
+            assert (_fractions(got.x, got.den), got.basis) == (want.x, want.basis)
+            assert _fractions(got.y, got.den) == old.duals(costs, want.basis)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -138,7 +154,15 @@ def test_integer_tableau_matches_fraction_tableau(system):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_systems(_fracs))
 def test_rational_systems_match_fraction_tableau(system):
-    _agree(*system)
+    # the integer tableau takes integer rows: scale each row by the lcm
+    # of its denominators, and the costs by theirs
+    rows, rhs, cost_vectors = system
+    scaled = [common_denominator([*row, bv])[0] for row, bv in zip(rows, rhs)]
+    _agree(
+        [row[:-1] for row in scaled],
+        [row[-1] for row in scaled],
+        [common_denominator(costs)[0] for costs in cost_vectors],
+    )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

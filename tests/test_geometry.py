@@ -305,8 +305,13 @@ class TestLinesThrough:
 
 
 def test_affine_functional_primitive():
-    g = AffineFunctional.of([Fraction(2, 3), Fraction(-4, 3)], Fraction(2, 3))
-    prim = g.primitive()
-    assert prim.normal == (Fraction(1), Fraction(-2)) and prim.offset == 1
-    # orientation preserved
-    assert g.value((5, 1)) * prim.value((5, 1)) >= 0
+    for sign in (1, -1):
+        normal = (Fraction(2 * sign, 3), Fraction(-4 * sign, 3))
+        offset = Fraction(2 * sign, 3)
+        g = AffineFunctional.of(normal, offset)
+        assert (g.normal, g.offset) == ((sign, -2 * sign), sign)
+        assert all(type(v) is int for v in g.normal + (g.offset,))
+        # the input's sign at every point of a small box
+        for x in box_points((-3, -3), (3, 3)):
+            want = sum(n * v for n, v in zip(normal, x)) - offset
+            assert (g.value(x) > 0) - (g.value(x) < 0) == (want > 0) - (want < 0)
