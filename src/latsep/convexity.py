@@ -342,13 +342,15 @@ def is_integrally_convex(s: PointSet) -> Verdict:
     lo, hi = bounding_box(s.points)
     # one unit cell per axis position; a degenerate axis keeps one cell
     for cell in product(*(range(l, max(h, l + 1)) for l, h in zip(lo, hi))):
+        corners = [c for c in box_points(cell, tuple(z + 1 for z in cell)) if c in members]
+        if len(corners) == 1 << d:
+            continue  # conv(S) meets the cell inside the cell = conv(corners)
         constraints = _cell_constraints(d, facets, cell)
         if constraints is None:
             continue
         verts = _cell_vertices(d, constraints)
         if not verts:
             continue
-        corners = [c for c in box_points(cell, tuple(z + 1 for z in cell)) if c in members]
         if corners:
             local = integer_facets(corners)
             c_lo, c_hi = bounding_box(corners)

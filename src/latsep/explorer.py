@@ -1,15 +1,19 @@
 """Exhaustive and randomized search harnesses.
 
 Enumerates families of small point sets (optionally filtered by a
-convexity property), sweeps all bipartitions modulo the A/B swap, and
+convexity property), checks every bipartition modulo the A/B swap, and
 compares pairs of separation conditions.  Any (set, partition) pair on
 which the two conditions disagree is reported with both sides' points
 and can be replayed through the decision procedures.
 
-The same machinery drives the hunt for three-dimensional
-counterexamples: sample lattice point sets of random small polytopes,
-keep the integrally convex ones, and look for bipartitions that satisfy
-the 3-parallelogram condition yet admit no separating flag.
+The hunt for three-dimensional counterexamples samples lattice point
+sets of random small polytopes, keeps the integrally convex ones, and
+looks for bipartitions that satisfy the 3-parallelogram condition yet
+admit no separating flag.  It does not test the bipartitions one by
+one: the condition forbids equal-sum multisets on opposite sides, so
+each set's equal-sum table gives clauses, and a backtracking search
+over the points reaches only the partitions that break none of them.
+Flag search runs on those alone.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ import json
 import multiprocessing
 import random
 from dataclasses import dataclass, field
+from itertools import combinations, combinations_with_replacement
 
-from .conditions import Partition, check_parallelogram, check_ray, search_flag
+from .conditions import Partition, _mixed_radix, check_parallelogram, check_ray, search_flag
 from .convexity import is_hole_free, is_integrally_convex, is_k_convex
 from .errors import InstanceFormatError
 from .geometry import IntPoint, PointSet, lattice_points_in_conv
@@ -82,14 +87,82 @@ def enumerate_family(dims, family: str = "any", start_mask: int = 0):
 
 def bipartitions(s: PointSet):
     """All (A, B) with both sides nonempty, up to the A/B swap: the
-    lexicographically smallest point always goes to A.  The sides are
-    sorted slices of s's points, so they skip ``PointSet.of``."""
-    rest = list(s.points[1:])
-    n = len(rest)
-    for mask in range(0, (1 << n) - 1):
-        a = [s.points[0]] + [rest[i] for i in range(n) if mask >> i & 1]
-        b = [rest[i] for i in range(n) if not mask >> i & 1]
-        yield Partition(PointSet(s.dim, tuple(a)), PointSet(s.dim, tuple(b)))
+    lexicographically smallest point always goes to A.  Partition number
+    ``mask`` puts ``s.points[i + 1]`` in A exactly when bit i is set."""
+    for mask in range(0, (1 << max(len(s) - 1, 0)) - 1):
+        yield _split(s, mask)
+
+
+def _split(s: PointSet, mask: int) -> Partition:
+    """Bipartition number ``mask`` of s.  The sides are sorted slices of
+    s's points, so they skip ``PointSet.of``."""
+    rest = s.points[1:]
+    a = (s.points[0],) + tuple(q for i, q in enumerate(rest) if mask >> i & 1)
+    b = tuple(q for i, q in enumerate(rest) if not mask >> i & 1)
+    return Partition(PointSet(s.dim, a), PointSet(s.dim, b))
+
+
+def parallelogram_masks(s: PointSet, k: int) -> list[int]:
+    """The ``bipartitions`` numbers, ascending, of the partitions of s
+    with the k-parallelogram condition.
+
+    The condition fails exactly when two equal-sum multisets of the same
+    order j <= k with disjoint supports X and Y fall on opposite sides.
+    Each such pair of supports is a clause, built once per set from the
+    mixed-radix code sums of s; it is broken when A & (X | Y) is X or Y.
+    A backtracking search colours the points in index order, point 0 in
+    A, and tests the clauses whose highest point has just been coloured,
+    all at once: bit c of ``missed`` records that pattern c can no longer
+    occur.  Only partitions with the condition reach a leaf (see the
+    algorithm notes in docs/).
+    """
+    m = len(s)
+    if m < 2:
+        return []
+    lo, mults, _ = _mixed_radix(s.points, k)
+    codes = [sum((q[i] - lo[i]) * mults[i] for i in range(s.dim)) for q in s.points]
+    patterns = set()  # (X | Y, X) and (X | Y, Y) of every clause
+    for order in range(2, k + 1):
+        groups: dict[int, set[int]] = {}
+        for combo in combinations_with_replacement(range(m), order):
+            support = 0
+            for i in combo:
+                support |= 1 << i
+            groups.setdefault(sum(codes[i] for i in combo), set()).add(support)
+        for supports in groups.values():
+            for x, y in combinations(supports, 2):
+                if not x & y:
+                    patterns.update(((x | y, x), (x | y, y)))
+    # top[i]: the patterns whose highest point is i; miss[j]: the patterns
+    # that point j rules out when it goes to A and when it goes to B
+    width = len(patterns) // 8 + 1
+    top = [bytearray(width) for _ in range(m)]
+    miss = [(bytearray(width), bytearray(width)) for _ in range(m)]
+    for c, (both, side) in enumerate(patterns):
+        byte, bit = c >> 3, 1 << (c & 7)
+        top[both.bit_length() - 1][byte] |= bit
+        for j in range(both.bit_length()):
+            if both >> j & 1:
+                miss[j][side >> j & 1][byte] |= bit
+    top = [int.from_bytes(t, "little") for t in top]
+    miss = [
+        (int.from_bytes(in_a, "little"), int.from_bytes(in_b, "little"))
+        for in_a, in_b in miss
+    ]
+    leaves = []
+
+    def grow(i: int, a: int, missed: int) -> None:
+        if i == m:
+            leaves.append(a >> 1)
+            return
+        for coloured, ruled_out in ((a | 1 << i, miss[i][0]), (a, miss[i][1])):
+            now = missed | ruled_out
+            if not top[i] & ~now:
+                grow(i + 1, coloured, now)
+
+    grow(1, 1, miss[0][0])
+    everything = (1 << m - 1) - 1  # B empty
+    return sorted(mask for mask in leaves if mask != everything)
 
 
 @dataclass(frozen=True)
@@ -192,10 +265,13 @@ def test_equivalence(
     if checkpoint:
         state = _load_checkpoint(checkpoint)
         if state and state.get("kind") == "equivalence":
+            violations = _checked_violations(
+                checkpoint, state, ("cursor", "sets_checked", "partitions_checked"), "violations"
+            )
             start_mask = state["cursor"]
             report.sets_checked = state["sets_checked"]
             report.partitions_checked = state["partitions_checked"]
-            report.violations = [Violation.from_dict(v) for v in state["violations"]]
+            report.violations = violations
 
     tasks = (
         (mask, s.points, s.dim, left, right)
@@ -263,6 +339,24 @@ def _load_checkpoint(path: str) -> dict | None:
     return state
 
 
+def _checked_violations(path: str, state: dict, counts, listed: str) -> list[Violation]:
+    """The violations in field ``listed`` of a checkpoint, after checking
+    that the fields named in ``counts`` hold non-negative integers.  A
+    missing or ill-typed field raises InstanceFormatError."""
+    for name in counts:
+        value = state.get(name)
+        if type(value) is not int or value < 0:
+            raise InstanceFormatError(
+                f"checkpoint {path}: field {name!r} must be a non-negative integer"
+            )
+    try:
+        return [Violation.from_dict(v) for v in state[listed]]
+    except (KeyError, TypeError):
+        raise InstanceFormatError(
+            f"checkpoint {path}: field {listed!r} must be a list of violations"
+        ) from None
+
+
 def _save_checkpoint(path: str, state: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(state, fh, sort_keys=True)
@@ -292,12 +386,19 @@ class HuntReport:
 
 
 def hunt_over_set(s: PointSet, report: HuntReport, stream=None) -> None:
-    """Test every bipartition of one set: any with the 3-parallelogram
-    condition but no separating flag is logged as a counterexample."""
-    for partition in bipartitions(s):
-        report.partitions_checked += 1
-        if not check_parallelogram(partition, 3).holds:
-            continue
+    """Decide every bipartition of one set: any with the 3-parallelogram
+    condition but no separating flag is logged as a counterexample.
+
+    ``parallelogram_masks`` lists the partitions with the condition;
+    every other one breaks a clause, which is a 3-parallelogram failure,
+    so all of them count as checked and flag search runs only on the
+    survivors.
+    """
+    if len(s) < 2:
+        return
+    report.partitions_checked += (1 << len(s) - 1) - 1
+    for mask in parallelogram_masks(s, 3):
+        partition = _split(s, mask)
         if search_flag(partition).holds:
             continue
         v = Violation(
@@ -359,13 +460,13 @@ def conjecture_hunt(
     if checkpoint:
         state = _load_checkpoint(checkpoint)
         if state and state.get("kind") == "conjecture" and state.get("seed") == seed:
+            counts = ("cursor", "samples", "admitted_sets", "partitions_checked")
+            counterexamples = _checked_violations(checkpoint, state, counts, "counterexamples")
             start = state["cursor"]
             report.samples = state["samples"]
             report.admitted_sets = state["admitted_sets"]
             report.partitions_checked = state["partitions_checked"]
-            report.counterexamples = [
-                Violation.from_dict(v) for v in state["counterexamples"]
-            ]
+            report.counterexamples = counterexamples
     for i in range(start, budget):
         rng = random.Random(seed * 1000003 + i)
         report.samples += 1

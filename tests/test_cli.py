@@ -236,6 +236,18 @@ class TestExitCodes:
         assert main(["explore", *mode, "--checkpoint", str(path)]) == 2
         assert "error: checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, state",
+        [
+            (["equivalence", "--grid", "2x2"], {"kind": "equivalence"}),
+            (["conjecture", "--budget", "2"], {"kind": "conjecture", "seed": 0, "cursor": "x"}),
+        ],
+    )
+    def test_checkpoint_missing_or_ill_typed_field_exit_2(self, tmp_path, capsys, mode, state):
+        path = _write(tmp_path, "cp.json", state)
+        assert main(["explore", *mode, "--checkpoint", path]) == 2
+        assert "error: checkpoint" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_hull_lists_points(self, tmp_path, capsys):

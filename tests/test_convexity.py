@@ -287,6 +287,52 @@ class TestIntegrallyConvex:
             outcomes.add((s.dim, got.holds))
         assert outcomes == {(d, h) for d in (1, 2, 3) for h in (True, False)}
 
+    def test_full_cells_match_lp_oracle(self):
+        """Boxes with one or two outside points: every cell whose corners
+        are all members is skipped, and the verdict and witness still
+        match the LP oracle."""
+        rng = random.Random(23)
+        outcomes = set()
+        for _ in range(40):
+            d = rng.choice((2, 3))
+            pts = list(product(*(range(rng.randint(1, 2) + 1) for _ in range(d))))
+            pts += [tuple(rng.randint(-1, 3) for _ in range(d)) for _ in range(rng.randint(1, 2))]
+            s = PointSet.of(pts)
+            got = is_integrally_convex(s)
+            assert got == oracle_integrally_convex_lp(s), s.points
+            outcomes.add(got.holds)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "box, extra, expected",
+        [
+            ((2, 3), [(3, 1)], "cell=(1, 0), vertex=(Fraction(2, 1), Fraction(1, 2))"),
+            ((2, 2), [(0, 2), (0, 3)], "cell=(0, 1), vertex=(Fraction(1, 2), Fraction(2, 1))"),
+            (
+                (2, 3, 3),
+                [(2, 1, 0), (2, 2, 0)],
+                "cell=(1, 0, 0), vertex=(Fraction(3, 2), Fraction(1, 2), Fraction(1, 1))",
+            ),
+            (
+                (3, 2, 3),
+                [(0, 3, 0)],
+                "cell=(0, 1, 0), vertex=(Fraction(0, 1), Fraction(2, 1), Fraction(0, 1))",
+            ),
+            (
+                (3, 2, 3),
+                [(3, 2, 2)],
+                "cell=(0, 1, 0), vertex=(Fraction(1, 1), Fraction(4, 3), Fraction(2, 3))",
+            ),
+        ],
+    )
+    def test_witness_after_full_cells(self, box, extra, expected):
+        """Sets failing on a cell that comes after a full, skipped cell
+        keep the witness they had before the skip."""
+        s = PointSet.of(list(product(*(range(n) for n in box))) + extra)
+        assert repr(is_integrally_convex(s)) == (
+            f"Verdict(holds=False, witness=CellWitness({expected}))"
+        )
+
 
 class TestFaceProperties:
     """Edges of planar integrally convex sets are short and faces stay

@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latsep import explorer
 from latsep.conditions import check_parallelogram, search_flag
@@ -16,6 +18,7 @@ from latsep.explorer import (
     evaluate_condition,
     grid_points,
     hunt_over_set,
+    parallelogram_masks,
 )
 from latsep.geometry import PointSet
 
@@ -147,6 +150,79 @@ class TestConjectureHunt:
             fresh.admitted_sets,
             fresh.partitions_checked,
         )
+
+
+def _brute_force_masks(s, k):
+    """Reference for parallelogram_masks: one check per bipartition."""
+    return [mask for mask, p in enumerate(bipartitions(s)) if check_parallelogram(p, k).holds]
+
+
+def _brute_force_hunt(s):
+    """Reference for hunt_over_set: the 3-parallelogram check and flag
+    search on every bipartition."""
+    report = HuntReport(seed=0, budget=0)
+    for p in bipartitions(s):
+        report.partitions_checked += 1
+        if check_parallelogram(p, 3).holds and not search_flag(p).holds:
+            report.counterexamples.append(
+                Violation(
+                    s.points, p.a.points, p.b.points, "parallelogram-3", "flag", True, False
+                )
+            )
+    return report
+
+
+@st.composite
+def _small_sets(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    size = draw(st.integers(1, 12))
+    point = st.tuples(*[st.integers(0, 3)] * dim)
+    return PointSet.of(draw(st.lists(point, min_size=size, max_size=size, unique=True)), dim)
+
+
+class TestClausePrunedHunt:
+    """parallelogram_masks and hunt_over_set against brute force."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_small_sets(), st.sampled_from((2, 3)))
+    def test_masks_match_brute_force(self, s, k):
+        assert parallelogram_masks(s, k) == _brute_force_masks(s, k)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_small_sets())
+    def test_hunt_matches_brute_force(self, s):
+        report = HuntReport(seed=0, budget=0)
+        hunt_over_set(s, report)
+        expected = _brute_force_hunt(s)
+        assert report.partitions_checked == expected.partitions_checked
+        assert report.counterexamples == expected.counterexamples
+
+    @pytest.mark.parametrize("dims, count", [((2, 2, 3), 148), ((3, 3, 2), 441)])
+    def test_boxes_match_brute_force(self, dims, count):
+        box = PointSet.of(grid_points(dims))
+        masks = parallelogram_masks(box, 3)
+        assert len(masks) == count
+        assert masks == _brute_force_masks(box, 3)
+        report = HuntReport(seed=0, budget=0)
+        hunt_over_set(box, report)
+        assert report.partitions_checked == 2 ** (len(box) - 1) - 1
+        assert report.ok
+
+    def test_box_333_exhaustive(self):
+        # 2**26 - 1 partitions; brute force would take hours
+        box = PointSet.of(grid_points((3, 3, 3)))
+        assert len(parallelogram_masks(box, 3)) == 1350
+        report = HuntReport(seed=0, budget=0)
+        hunt_over_set(box, report)
+        assert report.partitions_checked == 2**26 - 1
+        assert report.ok
+
+    def test_empty_and_one_point_sets(self):
+        for pts in ([], [(0, 0)]):
+            s = PointSet.of(pts, 2)
+            report = HuntReport(seed=0, budget=0)
+            hunt_over_set(s, report)
+            assert parallelogram_masks(s, 3) == [] and report.partitions_checked == 0
 
 
 def test_violation_round_trips_through_json():
