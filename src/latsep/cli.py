@@ -9,15 +9,17 @@ Instance files are JSON: {"dim": d} plus exactly one of
 Flag files mirror the separating-flag structure with rationals printed
 in reduced p/q form.  Exit codes: 0 condition holds / success, 1
 condition fails (witness printed), 2 usage or malformed input, 3
-unsupported (e.g. dimension above the implemented range).
+unsupported (``plot`` above dimension 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
+from itertools import count
 from math import prod
 
 from .catalog import run_catalog
@@ -44,6 +46,7 @@ from .errors import (
     InvalidFlagError,
     LatsepError,
     UnsupportedDimensionError,
+    read_json_object,
 )
 from .explorer import CONDITIONS, FAMILY_FILTERS, MAX_GRID_CELLS, conjecture_hunt, test_equivalence
 from .geometry import AffineFunctional, PointSet, bounding_box, box_points, lattice_points_in_conv
@@ -95,19 +98,7 @@ def _check_span(path: str, lo, hi) -> None:
 
 def parse_instance(path: str):
     """Parse an instance file into a Partition or a PointSet."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise InstanceFormatError(f"{path}: {e.strerror or e}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InstanceFormatError(
-            f"{path}: line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
-    if not isinstance(data, dict):
-        raise InstanceFormatError(f"{path}: top level must be an object")
+    data = read_json_object(path, path)
     dim = data.get("dim")
     if not _is_int(dim) or dim < 1:
         raise InstanceFormatError(f"{path}: field 'dim' must be a positive integer")
@@ -162,17 +153,7 @@ def _parse_fraction(raw, where: str) -> Fraction:
 
 
 def parse_flag_file(path: str) -> SeparatingFlag:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise InstanceFormatError(f"{path}: {e.strerror or e}") from None
-    except json.JSONDecodeError as e:
-        raise InstanceFormatError(
-            f"{path}: line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
-    if not isinstance(data, dict):
-        raise InstanceFormatError(f"{path}: top level must be an object")
+    data = read_json_object(path, path)
     dim = data.get("dim")
     if not _is_int(dim) or dim < 1:
         raise InstanceFormatError(f"{path}: field 'dim' must be a positive integer")
@@ -453,24 +434,29 @@ def _cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _int_at_least(low: int, what: str):
-    """argparse type for an integer option of at least ``low``.  A smaller
-    value becomes a usage error (exit 2), never a traceback with exit 1,
-    which means "fails"."""
+def _int_in(low: int, high: int | None, what: str):
+    """argparse type for an integer option from ``low`` to ``high`` (no
+    upper bound for None).  Any other value becomes a usage error
+    (exit 2), never a traceback with exit 1, which means "fails"."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
+_positive_int = _int_in(1, None, "a positive integer")
+
+# Largest 'explore conjecture --box': a sampled vertex polytope is
+# scanned over its bounding box, up to [0, box]^3, which must hold at
+# most MAX_INSTANCE_POINTS lattice points like an instance file's.
+MAX_HUNT_BOX = next(b for b in count() if (b + 2) ** 3 > MAX_INSTANCE_POINTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,12 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("--left", default="parallelogram-2", choices=sorted(CONDITIONS))
     eq.add_argument("--right", default="flag", choices=sorted(CONDITIONS))
     eq.add_argument("--stop-after", type=int, default=None)
-    eq.add_argument("--jobs", type=int, default=1)
+    cpus = os.cpu_count() or 1
+    eq.add_argument("--jobs", type=_int_in(1, cpus, f"an integer from 1 to {cpus}"), default=1)
     eq.add_argument("--checkpoint", default=None)
     cj = ex_sub.add_parser("conjecture")
     cj.add_argument("--budget", type=int, default=100)
     cj.add_argument("--seed", type=int, default=0)
-    cj.add_argument("--box", type=_int_at_least(0, "non-negative"), default=2)
+    cj.add_argument(
+        "--box", type=_int_in(0, MAX_HUNT_BOX, f"an integer from 0 to {MAX_HUNT_BOX}"), default=2
+    )
     cj.add_argument("--max-size", type=int, default=12)
     cj.add_argument("--checkpoint", default=None)
     ex.set_defaults(fn=_cmd_explore)

@@ -130,26 +130,26 @@ def check_parallelogram(p: Partition, k: int) -> Verdict:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, _, digits = _mixed_radix(p.a.points + p.b.points, k)
+    _, digits = point_codes(p.a.points + p.b.points, k)
     sums = comb(len(p.a) + k, k) + comb(len(p.b) + k, k) - 2
     if digits * _digit_bytes(p) * 8 > _KRONECKER_MAX_BITS or digits > _DIGITS_PER_SUM * sums:
         return _parallelogram_by_enumeration(p, k)
     return _parallelogram_by_kronecker(p, k)
 
 
-def _mixed_radix(pts, k: int):
-    """(lo, mults, size) of the code sum((x_i - lo_i) * mults_i) with
-    radix k * span_i + 1 on axis i: sums of up to k points add without
-    carries, and every such code is below size."""
-    lo = []
-    mults = []
+def point_codes(pts, k: int) -> tuple[list[int], int]:
+    """The mixed-radix code of each point, sum((x_i - lo_i) * mult_i) with
+    radix k * span_i + 1 on axis i, and a bound above every sum of up to
+    k codes.  Such sums add without carries, so two multisets of at most
+    k points have equal coordinate sums exactly when their code sums are
+    equal."""
+    codes = [0] * len(pts)
     size = 1
-    for i in range(len(pts[0])):
-        column = [q[i] for q in pts]
-        lo.append(min(column))
-        mults.append(size)
-        size *= k * (max(column) - lo[-1]) + 1
-    return lo, mults, size
+    for column in zip(*pts):
+        low = min(column)
+        codes = [c + (v - low) * size for c, v in zip(codes, column)]
+        size *= k * (max(column) - low) + 1
+    return codes, size
 
 
 def _digit_bytes(p: Partition) -> int:
@@ -171,22 +171,21 @@ def _parallelogram_by_kronecker(p: Partition, k: int) -> Verdict:
     """
     a_pts = p.a.points
     b_pts = p.b.points
-    d = p.dim
-    lo, mults, digits = _mixed_radix(a_pts + b_pts, k)
+    codes, digits = point_codes(a_pts + b_pts, k)
     width = _digit_bytes(p)
     w = width * 8
     fill = int.from_bytes((b"\xff" * (width - 1) + b"\x7f") * digits, "little")
     ones = int.from_bytes((b"\x01" + b"\x00" * (width - 1)) * digits, "little")
 
-    def encode(pts):
-        codes = [sum((q[i] - lo[i]) * mults[i] for i in range(d)) for q in pts]
+    def encode(codes):
         buf = bytearray((max(codes) + 1) * width)
         for c in codes:
             buf[c * width] = 1
-        return codes, int.from_bytes(buf, "little")
+        return int.from_bytes(buf, "little")
 
-    a_codes, a_poly = encode(a_pts)
-    b_codes, b_poly = encode(b_pts)
+    a_codes, b_codes = codes[: len(a_pts)], codes[len(a_pts):]
+    a_poly = encode(a_codes)
+    b_poly = encode(b_codes)
     a_supp = [1, a_poly]  # a_supp[j]: 0/1 digits of the order-j sumset
     b_supp = [1, b_poly]
     for order in range(1, k + 1):
@@ -197,7 +196,7 @@ def _parallelogram_by_kronecker(p: Partition, k: int) -> Verdict:
         if common:
             right, total = _first_multiset(b_pts, b_codes, b_supp, order, common, w)
             left, _ = _first_multiset(a_pts, a_codes, a_supp, order, 1 << total * w, w)
-            vec = tuple(sum(q[i] for q in right) for i in range(d))
+            vec = tuple(sum(c) for c in zip(*right))
             return Verdict(False, ParallelogramWitness(order, left, right, vec))
     return Verdict(True)
 
@@ -229,17 +228,16 @@ def _parallelogram_by_enumeration(p: Partition, k: int) -> Verdict:
     the path for few or widely spread points, and the reference the
     Kronecker path is tested against.
 
-    Sums are compared through a mixed-radix integer code computed once
-    per point, so each multiset sum costs one integer addition and the
-    per-order tables stay no larger than the number of distinct sums.
+    Sums are compared through the ``point_codes`` of the points, computed
+    once for all orders, so each multiset sum costs one integer addition
+    and the per-order tables stay no larger than the number of distinct
+    sums.
     """
     a_pts = p.a.points
     b_pts = p.b.points
     every = a_pts + b_pts
-    d = p.dim
+    code = dict(zip(every, point_codes(every, k)[0]))
     for order in range(1, k + 1):
-        lo, mults, _ = _mixed_radix(every, order)
-        code = {q: sum((q[i] - lo[i]) * mults[i] for i in range(d)) for q in every}
         table: dict[int, tuple[IntPoint, ...]] = {}
         for combo in combinations_with_replacement(a_pts, order):
             total = sum(code[q] for q in combo)
@@ -249,7 +247,7 @@ def _parallelogram_by_enumeration(p: Partition, k: int) -> Verdict:
             total = sum(code[q] for q in combo)
             left = table.get(total)
             if left is not None:
-                vec = tuple(sum(q[i] for q in combo) for i in range(d))
+                vec = tuple(sum(c) for c in zip(*combo))
                 return Verdict(False, ParallelogramWitness(order, left, combo, vec))
     return Verdict(True)
 

@@ -22,7 +22,6 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from . import linalg
-from .errors import UnsupportedDimensionError
 from .geometry import (
     IntPoint,
     PointSet,
@@ -323,43 +322,29 @@ def _cell_constraints(d, facets, cell):
 
 
 def is_integrally_convex(s: PointSet) -> Verdict:
-    """Local-hull test: on every unit cell, the hull of the set must fill
-    hull-of-set intersected with the cell.
+    """Local-hull test, in any dimension: on every unit cell, the hull of
+    the set's points on the cell's corners must fill conv(S) clipped to
+    the cell.
 
-    Equivalent finite form of the integral-neighborhood definition: it
-    suffices that every vertex of conv(S) clipped to a cell lies in the
-    hull of the set's points on that cell's corners (see the algorithm
-    notes in docs/ for the reduction argument).  Integer arithmetic
-    throughout; only a failing vertex is built as Fractions.
+    One vertex rule decides each cell: a vertex x / D of the clipped hull
+    passes exactly when D = 1 and x is a member (see the algorithm notes
+    in docs/ for the reduction and the rule).  One facet description of
+    conv(S) serves every cell.  Integer arithmetic throughout; only a
+    failing vertex is built as Fractions.
     """
-    if s.dim > 3:
-        raise UnsupportedDimensionError("integral convexity supports dimension <= 3")
-    if len(s) == 1:
-        return Verdict(True)
     d = s.dim
     facets = integer_facets(s.points)
     members = s.member_set()
     lo, hi = bounding_box(s.points)
     # one unit cell per axis position; a degenerate axis keeps one cell
     for cell in product(*(range(l, max(h, l + 1)) for l, h in zip(lo, hi))):
-        corners = [c for c in box_points(cell, tuple(z + 1 for z in cell)) if c in members]
-        if len(corners) == 1 << d:
+        if all(c in members for c in box_points(cell, tuple(z + 1 for z in cell))):
             continue  # conv(S) meets the cell inside the cell = conv(corners)
         constraints = _cell_constraints(d, facets, cell)
         if constraints is None:
             continue
-        verts = _cell_vertices(d, constraints)
-        if not verts:
-            continue
-        if corners:
-            local = integer_facets(corners)
-            c_lo, c_hi = bounding_box(corners)
-        for x, den in verts:
-            # conv(corners) is their bounding box cut by their integer facets
-            if not corners or not (
-                all(l * den <= v <= h * den for v, l, h in zip(x, c_lo, c_hi))
-                and satisfies(x, den, local)
-            ):
+        for x, den in _cell_vertices(d, constraints):
+            if den != 1 or x not in members:
                 return Verdict(False, CellWitness(cell, tuple(Fraction(v, den) for v in x)))
     return Verdict(True)
 

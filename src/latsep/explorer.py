@@ -19,14 +19,13 @@ Flag search runs on those alone.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
-from .conditions import Partition, _mixed_radix, check_parallelogram, check_ray, search_flag
+from .conditions import Partition, check_parallelogram, check_ray, point_codes, search_flag
 from .convexity import is_hole_free, is_integrally_convex, is_k_convex
-from .errors import InstanceFormatError
+from .errors import InstanceFormatError, read_json_object
 from .geometry import IntPoint, PointSet, lattice_points_in_conv
 from .verdicts import Verdict
 
@@ -109,7 +108,7 @@ def parallelogram_masks(s: PointSet, k: int) -> list[int]:
     The condition fails exactly when two equal-sum multisets of the same
     order j <= k with disjoint supports X and Y fall on opposite sides.
     Each such pair of supports is a clause, built once per set from the
-    mixed-radix code sums of s; it is broken when A & (X | Y) is X or Y.
+    ``point_codes`` sums of s; it is broken when A & (X | Y) is X or Y.
     A backtracking search colours the points in index order, point 0 in
     A, and tests the clauses whose highest point has just been coloured,
     all at once: bit c of ``missed`` records that pattern c can no longer
@@ -119,8 +118,7 @@ def parallelogram_masks(s: PointSet, k: int) -> list[int]:
     m = len(s)
     if m < 2:
         return []
-    lo, mults, _ = _mixed_radix(s.points, k)
-    codes = [sum((q[i] - lo[i]) * mults[i] for i in range(s.dim)) for q in s.points]
+    codes, _ = point_codes(s.points, k)
     patterns = set()  # (X | Y, X) and (X | Y, Y) of every clause
     for order in range(2, k + 1):
         groups: dict[int, set[int]] = {}
@@ -277,7 +275,13 @@ def test_equivalence(
         (mask, s.points, s.dim, left, right)
         for mask, s in enumerate_family(dims, family, start_mask)
     )
-    pool = multiprocessing.Pool(jobs) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        # imported here: the module costs about 10 ms, and nothing else
+        # in the library needs it
+        import multiprocessing
+
+        pool = multiprocessing.Pool(jobs)
     cursor = start_mask
     try:
         results = pool.imap(_check_set, tasks, chunksize=8) if pool else map(_check_set, tasks)
@@ -325,18 +329,7 @@ def _equivalence_state(report: EquivalenceReport, cursor: int) -> dict:
 
 def _load_checkpoint(path: str) -> dict | None:
     """The JSON object stored at ``path``, or None when there is no file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-    except FileNotFoundError:
-        return None
-    except json.JSONDecodeError as e:
-        raise InstanceFormatError(
-            f"checkpoint {path}: line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
-    if not isinstance(state, dict):
-        raise InstanceFormatError(f"checkpoint {path}: top level must be an object")
-    return state
+    return read_json_object(path, f"checkpoint {path}", missing_ok=True)
 
 
 def _checked_violations(path: str, state: dict, counts, listed: str) -> list[Violation]:
@@ -358,9 +351,12 @@ def _checked_violations(path: str, state: dict, counts, listed: str) -> list[Vio
 
 
 def _save_checkpoint(path: str, state: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(state, fh, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise InstanceFormatError(f"checkpoint {path}: {e.strerror or e}") from None
 
 
 def _emit(stream, record: dict) -> None:

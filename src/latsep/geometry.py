@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import linalg
-from .errors import DimensionMismatchError, UnsupportedDimensionError
+from .errors import DimensionMismatchError
 from .exactlp import EqualityFeasibility
 
 IntPoint = tuple[int, ...]
@@ -238,14 +238,12 @@ def integer_facets(points) -> list[tuple[tuple[int, ...], int]]:
 
 def hull_facets(s: PointSet) -> list[AffineFunctional]:
     """Irredundant functionals with conv(s) = {x : g(x) >= 0 for all g}
-    (see ``integer_facets``).
+    (see ``integer_facets``), in any ambient dimension.
 
-    Works in ambient dimension <= 3.  When s is not full-dimensional the
-    affine hull's equations are returned as paired opposite inequalities,
-    so the description is exact for degenerate sets as well.
+    When s is not full-dimensional the affine hull's equations are
+    returned as paired opposite inequalities, so the description is exact
+    for degenerate sets as well.
     """
-    if s.dim > 3:
-        raise UnsupportedDimensionError("facet enumeration supports dimension <= 3")
     return [AffineFunctional.of(n, c) for n, c in integer_facets(s.points)]
 
 

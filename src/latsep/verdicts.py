@@ -41,8 +41,10 @@ class HoleWitness:
 
 @dataclass(frozen=True)
 class CellWitness:
-    """A unit cell and a vertex of hull-within-cell that is not covered
-    by the set's points on that cell's corners."""
+    """A unit cell and the lexicographically first vertex of conv(S)
+    clipped to that cell that is not covered by the set's points on the
+    cell's corners: a vertex with a non-integral coordinate, or an
+    integral one (a corner) missing from S."""
 
     cell: IntPoint
     vertex: tuple[Fraction, ...]

@@ -1,12 +1,13 @@
 """Command line interface: parsing, exit codes, output round trips."""
 
 import json
+import os
 import time
 from pathlib import Path
 
 import pytest
 
-from latsep.cli import main, parse_instance, parse_flag_file
+from latsep.cli import main, parse_flag_file, parse_instance
 from latsep.conditions import Partition
 from latsep.errors import InstanceFormatError
 from latsep.geometry import PointSet
@@ -137,15 +138,22 @@ class TestExitCodes:
         assert main(["verify-flag", inst, "--flag", flag]) == 2
 
     def test_unsupported_dimension_exit_3(self, tmp_path):
-        path = _write(
-            tmp_path, "d4.json", {"dim": 4, "S": [[0, 0, 0, 0], [1, 1, 0, 0]]}
-        )
-        assert main(["check", "integrally-convex", path]) == 3
+        # plot is the one command with a dimension limit
+        path = _write(tmp_path, "d3.json", {"dim": 3, "S": [[0, 0, 0], [1, 1, 0]]})
+        assert main(["plot", path, "-o", str(tmp_path / "d3.svg")]) == 3
+        d4 = _write(tmp_path, "d4.json", {"dim": 4, "S": [[0, 0, 0, 0], [1, 1, 0, 0]]})
+        assert main(["check", "integrally-convex", d4]) == 0
 
     def test_malformed_file_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["check", "ray", str(path)]) == 2
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["check", "ray", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "instance",
@@ -215,10 +223,15 @@ class TestExitCodes:
         [
             ["explore", "equivalence", "--grid", "5x5"],
             ["explore", "conjecture", "--budget", "2", "--box", "-1"],
+            ["explore", "conjecture", "--budget", "2", "--box", "125"],
+            ["explore", "equivalence", "--grid", "2x2", "--jobs", "0"],
+            ["explore", "equivalence", "--grid", "2x2", "--jobs", str((os.cpu_count() or 1) + 1)],
         ],
     )
     def test_explore_out_of_range_is_usage_error(self, capsys, command):
-        # a 5x5 grid has 2**25 subsets, and a negative box cannot be sampled
+        # a 5x5 grid has 2**25 subsets, a negative box cannot be sampled,
+        # box 125 would scan 126**3 > MAX_INSTANCE_POINTS points per
+        # polytope, and a refused job count starts no process
         try:
             code = main(command)
         except SystemExit as exc:
@@ -233,6 +246,17 @@ class TestExitCodes:
     def test_malformed_checkpoint_exit_2(self, tmp_path, capsys, text, mode):
         path = tmp_path / "cp.json"
         path.write_text(text)
+        assert main(["explore", *mode, "--checkpoint", str(path)]) == 2
+        assert "error: checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    @pytest.mark.parametrize(
+        "mode", [["equivalence", "--grid", "2x2"], ["conjecture", "--budget", "2"]]
+    )
+    def test_unusable_checkpoint_path_exit_2(self, tmp_path, capsys, where, mode):
+        # an existing directory cannot be read, and a file in a missing
+        # directory cannot be written
+        path = tmp_path if where == "directory" else tmp_path / "nodir" / "cp.json"
         assert main(["explore", *mode, "--checkpoint", str(path)]) == 2
         assert "error: checkpoint" in capsys.readouterr().err
 

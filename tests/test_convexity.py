@@ -19,7 +19,6 @@ from latsep.convexity import (
     k_convex_hull,
     simplex_lattice_points,
 )
-from latsep.errors import UnsupportedDimensionError
 from latsep.geometry import (
     PointSet,
     affine_hull_basis,
@@ -252,10 +251,6 @@ class TestIntegrallyConvex:
             count += got
         assert count == 117  # frozen by the clipping oracle
 
-    def test_dimension_guard(self):
-        with pytest.raises(UnsupportedDimensionError):
-            is_integrally_convex(PointSet.of([(0, 0, 0, 0), (1, 0, 0, 0)]))
-
     def test_matches_lp_oracle(self):
         """Verdict and witness against the Fraction/LP implementation."""
         rng = random.Random(17)
@@ -279,13 +274,27 @@ class TestIntegrallyConvex:
             [(rng.randint(0, 4), rng.randint(0, 3)) for _ in range(rng.randint(1, 7))]
             for _ in range(40)
         ]
+        # Z^4: subsets and clipped copies of one cube, which hold, two
+        # sets that fail at a missing corner or a half-integral vertex,
+        # and a few points of [0, 2]^4 (the oracle takes ~0.4 s per set)
+        tesseract = list(product(range(2), repeat=4))
+        cases += [rng.sample(tesseract, rng.randint(3, 6)) for _ in range(2)]
+        cases += [
+            [p for p in tesseract if sum(p) <= 2],
+            [p for p in tesseract if p[0] + p[1] - p[3] <= 1],
+        ]
+        cases += [[(0, 0, 0, 0), (2, 0, 0, 0)], [(0, 0, 0, 0), (1, 1, 1, 0), (2, 2, 2, 1)]]
+        cases += [
+            [tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(rng.randint(2, 5))]
+            for _ in range(5)
+        ]
         outcomes = set()
         for pts in cases:
             s = PointSet.of(pts)
             got = is_integrally_convex(s)
             assert got == oracle_integrally_convex_lp(s), s.points
             outcomes.add((s.dim, got.holds))
-        assert outcomes == {(d, h) for d in (1, 2, 3) for h in (True, False)}
+        assert outcomes == {(d, h) for d in (1, 2, 3, 4) for h in (True, False)}
 
     def test_full_cells_match_lp_oracle(self):
         """Boxes with one or two outside points: every cell whose corners
