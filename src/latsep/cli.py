@@ -425,8 +425,11 @@ def _cmd_plot(args) -> int:
     if args.flag:
         funcs = parse_flag_file(args.flag).functionals
     svg = render_svg(a_pts, b_pts, funcs)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as e:
+        raise InstanceFormatError(f"output {args.output}: {e.strerror or e}") from None
     print(f"wrote {args.output}")
     return EXIT_HOLDS
 

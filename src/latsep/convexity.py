@@ -273,7 +273,8 @@ def k_convex_hull(s: PointSet, k: int) -> PointSet:
 
 
 def is_hole_free(s: PointSet) -> Verdict:
-    """Is the set exactly the lattice points of its own convex hull?"""
+    """Is the set exactly the lattice points of its own convex hull?  The
+    empty set is (``lattice_points_in_conv`` returns it unchanged)."""
     full = lattice_points_in_conv(s)
     members = s.member_set()
     for z in full.points:
@@ -285,53 +286,76 @@ def is_hole_free(s: PointSet) -> Verdict:
 # ---------------------------------------------------------------------------
 # integral convexity
 
-def _cell_vertices(d, constraints):
-    """Vertices of {x : n . x >= c for all (n, c)} inside one unit cell,
-    as (X, D) with x = X / D in lowest terms, in lexicographic order of x:
-    the solves of d tight constraints that satisfy all the others."""
-    verts = set()
-    for chosen in combinations(constraints, d):
-        found = linalg.minor_adjugate([n for n, _ in chosen])
-        if found is None:
-            continue
-        _, det, adj = found
-        x = [sum(row[r] * c for row, (_, c) in zip(adj, chosen)) for r in range(d)]
-        if satisfies(x, det, constraints):
-            g = gcd(det, *x)
-            verts.add((tuple(v // g for v in x), det // g))
-    scale = lcm(*(den for _, den in verts))
-    return sorted(verts, key=lambda v: tuple(c * (scale // v[1]) for c in v[0]))
-
-
-def _cell_constraints(d, facets, cell):
-    """The facets that can be tight on the unit cell plus its 2d bounds,
-    or None when the cell misses the hull: over the cell, n . x - c
-    ranges from its value at the origin plus the negative entries of n
-    to that value plus the positive ones."""
+def _face_rows(facets, corner, free):
+    """The facets (n, e), meaning n . x >= e, on the face corner + [0,1]
+    in each ``free`` coordinate, as rows (m, b) meaning m . y >= b for y
+    in [0,1]^f: those that can be tight there, or None when the face
+    misses the hull.  Over the face, m . y - b ranges from -b plus the
+    negative entries of m to -b plus the positive ones."""
     out = []
-    for n, c in facets:
-        base = sum(a * b for a, b in zip(n, cell)) - c
-        if base + sum(v for v in n if v > 0) < 0:
+    for n, e in facets:
+        m = [n[j] for j in free]
+        b = e - sum(a * v for a, v in zip(n, corner))
+        if sum(v for v in m if v > 0) < b:
             return None
-        if base + sum(v for v in n if v < 0) <= 0:
-            out.append((n, c))
-    for i in range(d):
-        e = tuple(int(i == j) for j in range(d))
-        out += [(e, cell[i]), (tuple(-v for v in e), -(cell[i] + 1))]
+        if sum(v for v in m if v < 0) <= b:
+            out.append((m, b))
     return out
+
+
+def _failing_vertex(cell, rows, members):
+    """The least vertex X / D of Q = conv(S) ∩ cell that fails the vertex
+    rule, as (X, D), or None; ``rows`` are the cell's own ``_face_rows``.
+
+    Face by face (see the algorithm notes in docs/): each vertex of Q lies
+    inside one proper face of the cell, where f facets tight at it fix its
+    f free coordinates (``linalg.minor_adjugate``).  Off the corners it is
+    not integral, so it fails.  A face whose corners are all members is
+    skipped."""
+    failing = []
+    for pattern in product((None, 0, 1), repeat=len(cell)):
+        free = [i for i, b in enumerate(pattern) if b is None]
+        corner = [b or 0 for b in pattern]
+        lo = tuple(c + o for c, o in zip(cell, corner))
+        hi = tuple(v + (b is None) for v, b in zip(lo, pattern))
+        if len(free) == len(cell) or all(z in members for z in box_points(lo, hi)):
+            continue
+        face = _face_rows(rows, corner, free)
+        if face is None:
+            continue
+        if not free:
+            failing.append((lo, 1))  # a non-member corner inside conv(S)
+            continue
+        for chosen in combinations(face, len(free)):
+            found = linalg.minor_adjugate([m for m, _ in chosen])
+            if found is None:
+                continue
+            _, det, adj = found
+            y = [sum(r[k] * b for r, (_, b) in zip(adj, chosen)) for k in range(len(free))]
+            if all(0 < v < det for v in y) and satisfies(y, det, face):
+                x = [v * det for v in lo]
+                for j, v in zip(free, y):
+                    x[j] += v
+                failing.append((tuple(x), det))
+    if not failing:
+        return None
+    scale = lcm(*(den for _, den in failing))
+    return min(failing, key=lambda v: tuple(c * (scale // v[1]) for c in v[0]))
 
 
 def is_integrally_convex(s: PointSet) -> Verdict:
     """Local-hull test, in any dimension: on every unit cell, the hull of
     the set's points on the cell's corners must fill conv(S) clipped to
-    the cell.
+    the cell; the empty set holds.
 
     One vertex rule decides each cell: a vertex x / D of the clipped hull
-    passes exactly when D = 1 and x is a member (see the algorithm notes
-    in docs/ for the reduction and the rule).  One facet description of
-    conv(S) serves every cell.  Integer arithmetic throughout; only a
-    failing vertex is built as Fractions.
+    passes exactly when D = 1 and x is a member, so only failing vertices
+    are searched for, face by face (see the algorithm notes in docs/).
+    One facet description of conv(S) serves every cell.  Integer
+    arithmetic throughout; only the witness vertex is built as Fractions.
     """
+    if not s.points:
+        return Verdict(True)
     d = s.dim
     facets = integer_facets(s.points)
     members = s.member_set()
@@ -340,12 +364,11 @@ def is_integrally_convex(s: PointSet) -> Verdict:
     for cell in product(*(range(l, max(h, l + 1)) for l, h in zip(lo, hi))):
         if all(c in members for c in box_points(cell, tuple(z + 1 for z in cell))):
             continue  # conv(S) meets the cell inside the cell = conv(corners)
-        constraints = _cell_constraints(d, facets, cell)
-        if constraints is None:
-            continue
-        for x, den in _cell_vertices(d, constraints):
-            if den != 1 or x not in members:
-                return Verdict(False, CellWitness(cell, tuple(Fraction(v, den) for v in x)))
+        rows = _face_rows(facets, cell, range(d))
+        found = None if rows is None else _failing_vertex(cell, rows, members)
+        if found is not None:
+            x, den = found
+            return Verdict(False, CellWitness(cell, tuple(Fraction(v, den) for v in x)))
     return Verdict(True)
 
 

@@ -152,7 +152,9 @@ def box_points(lo, hi):
 def lattice_points_in_conv(s: PointSet) -> PointSet:
     """conv(s) intersected with the integer lattice: the points of the
     integer bounding box that satisfy every inequality of
-    ``integer_facets``, in lexicographic order."""
+    ``integer_facets``, in lexicographic order; empty for the empty set."""
+    if not s.points:
+        return s
     facets = integer_facets(s.points)
     lo, hi = bounding_box(s.points)
     inside = [x for x in box_points(lo, hi) if satisfies(x, 1, facets)]

@@ -331,6 +331,13 @@ class TestCommands:
         assert svg.startswith("<?xml") and "</svg>" in svg
         assert svg.count("<circle") == 4
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_plot_unwritable_output_exit_2(self, tmp_path, capsys, where):
+        inst = _write(tmp_path, "seg.json", {"dim": 2, "S": [[0, 0], [1, 1]]})
+        out = tmp_path / "nodir" / "x.svg" if where == "missing directory" else tmp_path
+        assert main(["plot", inst, "-o", str(out)]) == 2
+        assert "error: output" in capsys.readouterr().err
+
     def test_plot_with_flag_line(self, tmp_path):
         inst = _write(
             tmp_path, "gap.json", {"dim": 2, "A": [[2, 0], [3, 1]], "B": [[0, 0], [0, 1]]}

@@ -2,12 +2,15 @@
 
 import random
 import time
+from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from latsep import linalg
 from latsep.convexity import (
     _closure_sweep,
     _hull_support,
@@ -22,9 +25,14 @@ from latsep.convexity import (
 from latsep.geometry import (
     PointSet,
     affine_hull_basis,
+    bounding_box,
+    box_points,
+    integer_facets,
     lattice_points_in_conv,
     point_in_conv,
+    satisfies,
 )
+from latsep.verdicts import CellWitness, Verdict
 
 from oracles import oracle_integrally_convex_2d, oracle_integrally_convex_lp, oracle_one_convex
 
@@ -201,6 +209,10 @@ class TestHoleFree:
         s = PointSet.of([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0), (1, 1, 2)])
         assert is_hole_free(s).holds
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_empty_set(self, dim):
+        assert is_hole_free(PointSet(dim, ())) == Verdict(True)
+
     def test_gap_segment(self):
         v = is_hole_free(PointSet.of([(0, 0), (2, 0)]))
         assert not v.holds and v.witness.missing == (1, 0)
@@ -236,6 +248,10 @@ class TestIntegrallyConvex:
         v = is_integrally_convex(PointSet.of([(0, 0), (2, 1)]))
         assert not v.holds
         assert v.witness.cell == (0, 0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_empty_set(self, dim):
+        assert is_integrally_convex(PointSet(dim, ())) == Verdict(True)
 
     def test_unit_diagonal_passes(self):
         assert is_integrally_convex(PointSet.of([(0, 0), (1, 1)])).holds
@@ -341,6 +357,126 @@ class TestIntegrallyConvex:
         assert repr(is_integrally_convex(s)) == (
             f"Verdict(holds=False, witness=CellWitness({expected}))"
         )
+
+
+# The all-choices cell search that the face-by-face one replaced, kept
+# verbatim as the reference: it solves every choice of d constraints
+# among the cell's facets and its 2d bounds.
+
+def _cell_vertices(d, constraints):
+    """Vertices of {x : n . x >= c for all (n, c)} inside one unit cell,
+    as (X, D) with x = X / D in lowest terms, in lexicographic order of x:
+    the solves of d tight constraints that satisfy all the others."""
+    verts = set()
+    for chosen in combinations(constraints, d):
+        found = linalg.minor_adjugate([n for n, _ in chosen])
+        if found is None:
+            continue
+        _, det, adj = found
+        x = [sum(row[r] * c for row, (_, c) in zip(adj, chosen)) for r in range(d)]
+        if satisfies(x, det, constraints):
+            g = gcd(det, *x)
+            verts.add((tuple(v // g for v in x), det // g))
+    scale = lcm(*(den for _, den in verts))
+    return sorted(verts, key=lambda v: tuple(c * (scale // v[1]) for c in v[0]))
+
+
+def _cell_constraints(d, facets, cell):
+    """The facets that can be tight on the unit cell plus its 2d bounds,
+    or None when the cell misses the hull: over the cell, n . x - c
+    ranges from its value at the origin plus the negative entries of n
+    to that value plus the positive ones."""
+    out = []
+    for n, c in facets:
+        base = sum(a * b for a, b in zip(n, cell)) - c
+        if base + sum(v for v in n if v > 0) < 0:
+            return None
+        if base + sum(v for v in n if v < 0) <= 0:
+            out.append((n, c))
+    for i in range(d):
+        e = tuple(int(i == j) for j in range(d))
+        out += [(e, cell[i]), (tuple(-v for v in e), -(cell[i] + 1))]
+    return out
+
+
+def _all_choices_integrally_convex(s: PointSet) -> Verdict:
+    """``is_integrally_convex`` on the all-choices cell search."""
+    d = s.dim
+    facets = integer_facets(s.points)
+    members = s.member_set()
+    lo, hi = bounding_box(s.points)
+    for cell in product(*(range(l, max(h, l + 1)) for l, h in zip(lo, hi))):
+        if all(c in members for c in box_points(cell, tuple(z + 1 for z in cell))):
+            continue
+        constraints = _cell_constraints(d, facets, cell)
+        if constraints is None:
+            continue
+        for x, den in _cell_vertices(d, constraints):
+            if den != 1 or x not in members:
+                return Verdict(False, CellWitness(cell, tuple(Fraction(v, den) for v in x)))
+    return Verdict(True)
+
+
+@st.composite
+def _box_subset(draw):
+    """1 to 14 points of a box [-1, side]^d in Z^1 to Z^3."""
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-1, draw(st.integers(1, 3)))
+    return PointSet.of(draw(st.sets(st.tuples(*[coord] * dim), min_size=1, max_size=14)))
+
+
+class TestFaceFirstCellSearch:
+    """The face-by-face search for failing cell vertices against the
+    all-choices search it replaced and the LP oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_box_subset())
+    def test_matches_all_choices(self, s):
+        assert repr(is_integrally_convex(s)) == repr(_all_choices_integrally_convex(s))
+
+    def test_four_dimensional_sets_match_lp_oracle(self):
+        # points of a unit tesseract and up to two points of [0, 2]^4
+        rng = random.Random(41)
+        tesseract = list(product(range(2), repeat=4))
+        outcomes = set()
+        for _ in range(6):
+            pts = rng.sample(tesseract, rng.randint(2, 5))
+            pts += [tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(rng.randint(0, 2))]
+            s = PointSet.of(pts)
+            got = is_integrally_convex(s)
+            assert got == oracle_integrally_convex_lp(s), s.points
+            assert repr(got) == repr(_all_choices_integrally_convex(s))
+            outcomes.add(got.holds)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "pts, face_dim, expected",
+        [
+            (
+                [(0, 2, 2), (0, 3, -1), (1, 2, 2), (2, 0, 2)],
+                0,
+                "cell=(0, 0, 1), vertex=(Fraction(1, 1), Fraction(1, 1), Fraction(2, 1))",
+            ),
+            (
+                [(0, 1, 2), (0, 2, 0), (0, 2, 1), (1, 2, 2)],
+                1,
+                "cell=(0, 1, 0), vertex=(Fraction(0, 1), Fraction(3, 2), Fraction(1, 1))",
+            ),
+            (
+                [(0, 3, 3), (2, 3, 3), (3, 1, 2), (3, 2, 3)],
+                2,
+                "cell=(0, 2, 2), vertex=(Fraction(1, 1), Fraction(7, 3), Fraction(8, 3))",
+            ),
+        ],
+    )
+    def test_witness_on_each_face_dimension(self, pts, face_dim, expected):
+        """Full-dimensional sets in Z^3 whose witness is a non-member
+        corner, a point inside a cell edge and one inside a 2-face."""
+        s = PointSet.of(pts)
+        got = is_integrally_convex(s)
+        assert repr(got) == f"Verdict(holds=False, witness=CellWitness({expected}))"
+        assert sum(v.denominator != 1 for v in got.witness.vertex) == face_dim
+        assert repr(got) == repr(_all_choices_integrally_convex(s))
 
 
 class TestFaceProperties:

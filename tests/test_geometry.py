@@ -139,6 +139,10 @@ class TestLatticePointsInConv:
         pts = lattice_points_in_conv(s)
         assert set(pts.points) == set(s.points) | {(0, 0, 0)}
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_empty_set(self, dim):
+        assert lattice_points_in_conv(PointSet(dim, ())) == PointSet(dim, ())
+
     def test_superset_and_idempotent(self):
         rng = random.Random(7)
         for _ in range(10):
