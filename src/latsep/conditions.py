@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from math import comb, gcd
+from operator import neg, sub
 
 from . import linalg
 from .errors import DimensionMismatchError, InvalidFlagError, LatsepError
@@ -43,7 +44,6 @@ from .geometry import (
     PointSet,
     affine_hull_basis,
     line_key,
-    opposite_pairs,
 )
 from .verdicts import BlockingFlat, ParallelogramWitness, RayViolation, Verdict
 
@@ -255,27 +255,80 @@ def _parallelogram_by_enumeration(p: Partition, k: int) -> Verdict:
 # ---------------------------------------------------------------------------
 # ray condition
 
+# Entries per point kept in the ray check's table of primitive codes.  A
+# box in Z^d has fewer than 2^d distinct differences per point, so for
+# dense sets up to Z^5 the table never fills; sparse sets repeat few
+# differences, and clearing the full table keeps their memory linear in
+# the points rather than in |A| * |B|.
+_CODES_PER_POINT = 32
+
+
+class _PrimitiveCodes(dict):
+    """Difference code c -> c // g, the code of its primitive part, with
+    the gcd g of its digits taken once per distinct code."""
+
+    def __init__(self, radices):
+        self.radices = radices
+
+    def __missing__(self, c):
+        primitive = self[c] = c // gcd(*_digits(c, self.radices))
+        return primitive
+
+
+def _digits(c, radices):
+    """The vector with code c, last axis first, for ``radices`` the pairs
+    (2 * span + 1, span) in that order."""
+    out = []
+    for r, s in radices:
+        c, v = divmod(c + s, r)
+        out.append(v - s)
+    return out
+
+
 def check_ray(p: Partition) -> Verdict:
     """On every line meeting both sides, A's points must be a prefix or a
     suffix of the trace of S on that line.
 
-    A line fails exactly when one of its points has points of the other
-    side in both directions along it, which ``opposite_pairs`` finds in
-    one pass per point.  The failing line reported is the least by
-    (canonical direction, ``line_key``), the first a sweep over all
-    lines in that order would meet (see the algorithm notes in docs/).
+    A line fails exactly when one of its points q has points of the
+    other side in both directions along it.  With the first axis most
+    significant in ``point_codes``, r - q has the code code(r) - code(q),
+    and primitive codes order like their vectors.  So one pass per q maps
+    its differences to primitive codes and meets that set with its
+    negation; the least positive code left is q's least failing
+    direction.  The line reported is the least by (direction,
+    ``line_key``), as a sweep over all lines would meet it (see the
+    algorithm notes in docs/).
     """
-    failing = set()
-    for own, other in ((p.a.points, p.b.points), (p.b.points, p.a.points)):
-        for q in own:
-            for _, r in opposite_pairs(q, other):
-                d = linalg.canonical_direction(tuple(a - b for a, b in zip(r, q)))
-                failing.add((d, line_key(q, d)))
-    if not failing:
+    a_pts, b_pts = p.a.points, p.b.points
+    every = a_pts + b_pts
+    flipped = [q[::-1] for q in every]
+    codes, _ = point_codes(flipped, 2)
+    radices = [(2 * s + 1, s) for s in (max(c) - min(c) for c in zip(*flipped))]
+    table = _PrimitiveCodes(radices)
+    primitive = table.__getitem__
+    least, at = 0, []  # least failing direction code (0: none) and its points
+    n_a = len(a_pts)
+    for own, own_codes, other_codes in (
+        (a_pts, codes[:n_a], codes[n_a:]),
+        (b_pts, codes[n_a:], codes[:n_a]),
+    ):
+        for q, c in zip(own, own_codes):
+            if len(table) > _CODES_PER_POINT * len(every):
+                table.clear()
+            dirs = set(map(primitive, map(sub, other_codes, repeat(c))))
+            failing = dirs.intersection(map(neg, dirs))
+            if failing:
+                x = min(filter((0).__lt__, failing))
+                if x < least or not least:
+                    least, at = x, [q]
+                elif x == least:
+                    at.append(q)
+    if not least:
         return Verdict(True)
-    direction, key = min(failing)
-    side = {q: OWNER_A for q in p.a.points}
-    side.update({q: OWNER_B for q in p.b.points})
+    direction = tuple(reversed(_digits(least, radices)))
+    key = min(line_key(q, direction) for q in at)
+    side = {q: OWNER_A for q in a_pts}
+    side.update({q: OWNER_B for q in b_pts})
     trace = tuple(sorted(q for q in side if line_key(q, direction) == key))
     sides = tuple(side[q] for q in trace)
     return Verdict(False, RayViolation(trace[0], direction, trace, sides))

@@ -174,8 +174,8 @@ def opposite_pairs(p, points):
     such point.  Points equal to p are skipped.
 
     One pass that buckets the vectors by ``linalg.primitive_part``; the
-    opposite-direction test under the ray check, the 1-hull and the hull
-    prune (see the algorithm notes in docs/)."""
+    opposite-direction test under the 1-hull and the hull prune (see the
+    algorithm notes in docs/)."""
     seen: dict[tuple[int, ...], IntPoint] = {}
     for r in points:
         u, g = linalg.primitive_part(tuple(a - b for a, b in zip(r, p)))
@@ -206,7 +206,10 @@ def integer_facets(points) -> list[tuple[tuple[int, ...], int]]:
     the subset's normal spans the integer nullspace of its edges and the
     affine-hull equations (``linalg.null_vectors``), and the subset spans
     a facet when no two points lie on opposite sides of its plane.
+    An empty input has no such list and raises DimensionMismatchError.
     """
+    if not points:
+        raise DimensionMismatchError("empty point set has no facets")
     pts = _hull_candidates(points)
     anchor = pts[0]
     d = len(anchor)

@@ -277,6 +277,24 @@ def _ray_partition(draw):
     return Partition.of(a, b, dim)
 
 
+@st.composite
+def _wide_ray_partition(draw):
+    """At most 30 distinct points of [-50, 50]^d, d <= 4, on the lattice
+    shift + step * Z^d for a step of 1 to 12, so that difference codes
+    span several digits of both signs, and the coarser lattices give
+    collinear triples whose differences have a gcd above 1."""
+    dim = draw(st.integers(1, 4))
+    step = draw(st.integers(1, 12))
+    shift = draw(st.tuples(*[st.integers(-2, 2)] * dim))
+    t = st.integers(-48 // step, 48 // step)
+    ts = draw(st.lists(st.tuples(*[t] * dim), min_size=2, max_size=30, unique=True))
+    pts = [tuple(o + step * v for o, v in zip(shift, x)) for x in ts]
+    on_a = [True, False] + draw(st.lists(st.booleans(), min_size=len(pts) - 2, max_size=len(pts) - 2))
+    a = [q for q, x in zip(pts, on_a) if x]
+    b = [q for q, x in zip(pts, on_a) if not x]
+    return Partition.of(a, b, dim)
+
+
 class TestRayAgainstLineSweep:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(_ray_partition())
@@ -284,6 +302,57 @@ class TestRayAgainstLineSweep:
         assert repr(check_ray(p)) == repr(_sweep_check_ray(p))
         s = p.union()
         assert lines_through(s) == _sweep_lines_through(s)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_wide_ray_partition())
+    def test_same_violation_on_wide_coordinates(self, p):
+        assert repr(check_ray(p)) == repr(_sweep_check_ray(p))
+
+    def test_least_of_several_failing_directions(self):
+        # (0, 0) fails along (1, -1), (1, 0) and (1, 1) but not (0, 1):
+        # the least, with a negative second digit, is reported
+        b = [(1, 0), (-1, 0), (1, -1), (-1, 1), (1, 1), (-1, -1), (0, 1)]
+        p = Partition.of([(0, 0)], b)
+        want = RayViolation((-1, 1), (1, -1), ((-1, 1), (0, 0), (1, -1)), ("B", "A", "B"))
+        assert check_ray(p) == Verdict(False, want)
+        assert repr(check_ray(p)) == repr(_sweep_check_ray(p))
+
+    def test_one_dimensional_violation(self):
+        p = Partition.of([(-7,), (3,)], [(-2,), (9,)])
+        want = RayViolation((-7,), (1,), ((-7,), (-2,), (3,), (9,)), ("A", "B", "A", "B"))
+        assert check_ray(p) == Verdict(False, want)
+
+    def test_table_of_primitive_codes_stays_linear_on_sparse_points(self, monkeypatch):
+        # far-apart random points hardly repeat a difference: the table is
+        # cleared when full rather than holding all |A| * |B| of them,
+        # and the verdict is the one an unbounded table gives
+        sizes = []
+
+        class Recording(conditions._PrimitiveCodes):
+            def __missing__(self, c):
+                sizes.append(len(self))
+                return super().__missing__(c)
+
+        rng = random.Random(7)
+        pts = list({(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(300)})
+        p = Partition.of(pts[:150] + [(0, 0), (2, 2)], pts[150:] + [(1, 1)])
+        monkeypatch.setattr(conditions, "_PrimitiveCodes", Recording)
+        got = check_ray(p)
+        # one point's pass adds at most 152 entries past the cap
+        assert max(sizes) <= conditions._CODES_PER_POINT * 303 + 152
+        monkeypatch.setattr(conditions, "_CODES_PER_POINT", len(sizes))
+        sizes.clear()
+        assert check_ray(p) == got
+        assert max(sizes) > 2 * 150 * 150
+        assert got.witness.trace == ((0, 0), (1, 1), (2, 2))
+
+    def test_violation_only_along_non_primitive_differences(self):
+        # every difference along the failing line is 2 * (2, 1); the
+        # other points see no line through two of the other side
+        p = Partition.of([(0, 0), (8, 4), (0, 3)], [(4, 2), (9, -1)])
+        want = RayViolation((0, 0), (2, 1), ((0, 0), (4, 2), (8, 4)), ("A", "B", "A"))
+        assert check_ray(p) == Verdict(False, want)
+        assert repr(check_ray(p)) == repr(_sweep_check_ray(p))
 
 
 class TestVerifyFlag:

@@ -245,6 +245,12 @@ class TestIntegerFacets:
         ]
         assert integer_facets([(3,), (-1,), (0,)]) == [((-1,), -3), ((1,), -1)]
 
+    def test_empty_input_is_refused(self):
+        with pytest.raises(DimensionMismatchError, match="empty point set"):
+            integer_facets([])
+        with pytest.raises(DimensionMismatchError, match="empty point set"):
+            hull_facets(PointSet(2, ()))
+
     def test_lattice_points_match_point_in_conv_box_filter(self):
         rng = random.Random(32)
         for dim in (1, 2, 3, 4):
