@@ -26,7 +26,7 @@ from .conditions import (
 )
 from .convexity import classify_holes, is_hole_free, is_integrally_convex, is_k_convex, k_convex_hull
 from .errors import InstanceFormatError
-from .geometry import AffineFunctional, PointSet, lattice_points_in_conv, point_in_conv
+from .geometry import AffineFunctional, PointSet, box_points, lattice_points_in_conv, point_in_conv
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,12 @@ def sqrt2_halfplane_window(n: int) -> Partition:
     """A: window points on or above the line of slope sqrt(2) through the
     origin; B: the rest.  Exact integer test, no floating point."""
     a_pts, b_pts = [], []
-    for x1 in range(-n, n + 1):
-        for x2 in range(-n, n + 1):
-            if x1 <= 0:
-                above = x2 >= 0 or x2 * x2 <= 2 * x1 * x1
-            else:
-                above = x2 > 0 and x2 * x2 >= 2 * x1 * x1
-            (a_pts if above else b_pts).append((x1, x2))
+    for x1, x2 in box_points((-n, -n), (n, n)):
+        if x1 <= 0:
+            above = x2 >= 0 or x2 * x2 <= 2 * x1 * x1
+        else:
+            above = x2 > 0 and x2 * x2 >= 2 * x1 * x1
+        (a_pts if above else b_pts).append((x1, x2))
     return Partition.of(a_pts, b_pts, 2)
 
 
@@ -98,10 +97,9 @@ def quarter_boundary_window(n: int) -> Partition:
     """A: open right half-plane plus the nonnegative part of the vertical
     axis; B: the rest.  Windowed to [-n, n]^2."""
     a_pts, b_pts = [], []
-    for x1 in range(-n, n + 1):
-        for x2 in range(-n, n + 1):
-            inside = x1 > 0 or (x1 == 0 and x2 >= 0)
-            (a_pts if inside else b_pts).append((x1, x2))
+    for x1, x2 in box_points((-n, -n), (n, n)):
+        inside = x1 > 0 or (x1 == 0 and x2 >= 0)
+        (a_pts if inside else b_pts).append((x1, x2))
     return Partition.of(a_pts, b_pts, 2)
 
 

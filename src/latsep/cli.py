@@ -461,6 +461,10 @@ _positive_int = _int_in(1, None, "a positive integer")
 # most MAX_INSTANCE_POINTS lattice points like an instance file's.
 MAX_HUNT_BOX = next(b for b in count() if (b + 2) ** 3 > MAX_INSTANCE_POINTS)
 
+# Largest 'explore conjecture --max-size': the 27 points of {0,1,2}^3,
+# the largest set whose hunt the tests cover.
+MAX_HUNT_SET = 27
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -517,17 +521,18 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("--family", default="integrally-convex", choices=FAMILY_FILTERS)
     eq.add_argument("--left", default="parallelogram-2", choices=sorted(CONDITIONS))
     eq.add_argument("--right", default="flag", choices=sorted(CONDITIONS))
-    eq.add_argument("--stop-after", type=int, default=None)
+    eq.add_argument("--stop-after", type=_positive_int, default=None)
     cpus = os.cpu_count() or 1
     eq.add_argument("--jobs", type=_int_in(1, cpus, f"an integer from 1 to {cpus}"), default=1)
     eq.add_argument("--checkpoint", default=None)
     cj = ex_sub.add_parser("conjecture")
-    cj.add_argument("--budget", type=int, default=100)
+    cj.add_argument("--budget", type=_int_in(0, None, "a nonnegative integer"), default=100)
     cj.add_argument("--seed", type=int, default=0)
     cj.add_argument(
         "--box", type=_int_in(0, MAX_HUNT_BOX, f"an integer from 0 to {MAX_HUNT_BOX}"), default=2
     )
-    cj.add_argument("--max-size", type=int, default=12)
+    hunt_size = _int_in(2, MAX_HUNT_SET, f"an integer from 2 to {MAX_HUNT_SET}")
+    cj.add_argument("--max-size", type=hunt_size, default=12)
     cj.add_argument("--checkpoint", default=None)
     ex.set_defaults(fn=_cmd_explore)
 

@@ -31,19 +31,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations_with_replacement
 from math import comb, gcd
-from operator import neg, sub
 
 from . import linalg
 from .errors import DimensionMismatchError, InvalidFlagError, LatsepError
 from .exactlp import EqualityFeasibility
 from .geometry import (
     AffineFunctional,
+    DirectionCodes,
     IntPoint,
     PointSet,
     affine_hull_basis,
     line_key,
+    point_codes,
 )
 from .verdicts import BlockingFlat, ParallelogramWitness, RayViolation, Verdict
 
@@ -135,21 +136,6 @@ def check_parallelogram(p: Partition, k: int) -> Verdict:
     if digits * _digit_bytes(p) * 8 > _KRONECKER_MAX_BITS or digits > _DIGITS_PER_SUM * sums:
         return _parallelogram_by_enumeration(p, k)
     return _parallelogram_by_kronecker(p, k)
-
-
-def point_codes(pts, k: int) -> tuple[list[int], int]:
-    """The mixed-radix code of each point, sum((x_i - lo_i) * mult_i) with
-    radix k * span_i + 1 on axis i, and a bound above every sum of up to
-    k codes.  Such sums add without carries, so two multisets of at most
-    k points have equal coordinate sums exactly when their code sums are
-    equal."""
-    codes = [0] * len(pts)
-    size = 1
-    for column in zip(*pts):
-        low = min(column)
-        codes = [c + (v - low) * size for c, v in zip(codes, column)]
-        size *= k * (max(column) - low) + 1
-    return codes, size
 
 
 def _digit_bytes(p: Partition) -> int:
@@ -255,57 +241,21 @@ def _parallelogram_by_enumeration(p: Partition, k: int) -> Verdict:
 # ---------------------------------------------------------------------------
 # ray condition
 
-# Entries per point kept in the ray check's table of primitive codes.  A
-# box in Z^d has fewer than 2^d distinct differences per point, so for
-# dense sets up to Z^5 the table never fills; sparse sets repeat few
-# differences, and clearing the full table keeps their memory linear in
-# the points rather than in |A| * |B|.
-_CODES_PER_POINT = 32
-
-
-class _PrimitiveCodes(dict):
-    """Difference code c -> c // g, the code of its primitive part, with
-    the gcd g of its digits taken once per distinct code."""
-
-    def __init__(self, radices):
-        self.radices = radices
-
-    def __missing__(self, c):
-        primitive = self[c] = c // gcd(*_digits(c, self.radices))
-        return primitive
-
-
-def _digits(c, radices):
-    """The vector with code c, last axis first, for ``radices`` the pairs
-    (2 * span + 1, span) in that order."""
-    out = []
-    for r, s in radices:
-        c, v = divmod(c + s, r)
-        out.append(v - s)
-    return out
-
-
 def check_ray(p: Partition) -> Verdict:
     """On every line meeting both sides, A's points must be a prefix or a
     suffix of the trace of S on that line.
 
     A line fails exactly when one of its points q has points of the
-    other side in both directions along it.  With the first axis most
-    significant in ``point_codes``, r - q has the code code(r) - code(q),
-    and primitive codes order like their vectors.  So one pass per q maps
-    its differences to primitive codes and meets that set with its
-    negation; the least positive code left is q's least failing
-    direction.  The line reported is the least by (direction,
+    other side in both directions along it.  So one pass per q finds the
+    opposite primitive codes of its differences to the other side
+    (``DirectionCodes``, whose codes order like their vectors); the least
+    positive one is q's least failing direction.  The line reported is the least by (direction,
     ``line_key``), as a sweep over all lines would meet it (see the
     algorithm notes in docs/).
     """
     a_pts, b_pts = p.a.points, p.b.points
-    every = a_pts + b_pts
-    flipped = [q[::-1] for q in every]
-    codes, _ = point_codes(flipped, 2)
-    radices = [(2 * s + 1, s) for s in (max(c) - min(c) for c in zip(*flipped))]
-    table = _PrimitiveCodes(radices)
-    primitive = table.__getitem__
+    table = DirectionCodes(a_pts + b_pts)
+    codes = table.codes
     least, at = 0, []  # least failing direction code (0: none) and its points
     n_a = len(a_pts)
     for own, own_codes, other_codes in (
@@ -313,10 +263,7 @@ def check_ray(p: Partition) -> Verdict:
         (b_pts, codes[n_a:], codes[:n_a]),
     ):
         for q, c in zip(own, own_codes):
-            if len(table) > _CODES_PER_POINT * len(every):
-                table.clear()
-            dirs = set(map(primitive, map(sub, other_codes, repeat(c))))
-            failing = dirs.intersection(map(neg, dirs))
+            failing = table.opposed(c, other_codes)
             if failing:
                 x = min(filter((0).__lt__, failing))
                 if x < least or not least:
@@ -325,7 +272,7 @@ def check_ray(p: Partition) -> Verdict:
                     at.append(q)
     if not least:
         return Verdict(True)
-    direction = tuple(reversed(_digits(least, radices)))
+    direction = table.vector(least)
     key = min(line_key(q, direction) for q in at)
     side = {q: OWNER_A for q in a_pts}
     side.update({q: OWNER_B for q in b_pts})

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .geometry import (
+    DirectionCodes,
     IntPoint,
     PointSet,
     affine_hull_basis,
@@ -31,7 +32,6 @@ from .geometry import (
     convex_combination_support,
     integer_facets,
     lattice_points_in_conv,
-    opposite_pairs,
     satisfies,
 )
 from .verdicts import CellWitness, ConvexityWitness, HoleReport, HoleWitness, Verdict
@@ -41,15 +41,8 @@ from .verdicts import CellWitness, ConvexityWitness, HoleReport, HoleWitness, Ve
 # lattice points of a simplex (integer arithmetic)
 
 def _segment_points(p: IntPoint, q: IntPoint):
-    d = tuple(b - a for a, b in zip(p, q))
-    g = 0
-    for c in d:
-        g = gcd(g, abs(c))
-    if g == 0:
-        yield p
-        return
-    step = tuple(c // g for c in d)
-    for i in range(g + 1):
+    step, g = linalg.primitive_part(tuple(b - a for a, b in zip(p, q)))
+    for i in range(g + 1):  # p alone when q = p
         yield tuple(a + i * s for a, s in zip(p, step))
 
 
@@ -129,22 +122,29 @@ def _simplex_points(points: tuple[IntPoint, ...]):
 # ---------------------------------------------------------------------------
 # target-driven closure: is a candidate in the hull of <= k+1 current points?
 
-def _hull_support(z: IntPoint, pts, k: int) -> tuple[IntPoint, ...] | None:
+def _hull_support(z: IntPoint, pts, k: int, table) -> tuple[IntPoint, ...] | None:
     """At most k+1 points of ``pts``, for k = 1 or 2, whose convex hull
     contains ``z``, or None when there are none; ``z`` must not be one of
-    ``pts``.
+    ``pts``, and ``table`` is the ``DirectionCodes`` of a set holding both.
 
     Integer arithmetic only, O(N^2) for N points.  Segment step: z lies
     on a segment exactly when two vectors p - z have opposite primitive
-    directions (``opposite_pairs``).  Triangle step: for v = p - z, each
-    later w = q - z is bucketed by the primitive part u of its projection
+    directions (``table``); the pair is the first such r and the first q
+    opposite it.  Triangle step: for v = p - z, each later w = q - z is
+    bucketed by the primitive part u of its projection
     <v,v>w - <v,w>v orthogonal to v, with gcd g, keeping the least
     <v,w>/g per bucket; z lies in a triangle with first vertex p exactly
     when min(u) + min(-u) <= 0 for some bucket u.
     """
-    pair = next(opposite_pairs(z, pts), None)
-    if pair is not None or k == 1:
-        return pair
+    code = table.code
+    seen: dict[int, IntPoint] = {}
+    for r, u in zip(pts, table.primitives(code[z], map(code.__getitem__, pts))):
+        q = seen.get(-u)
+        if q is not None:
+            return q, r
+        seen.setdefault(u, r)
+    if k == 1:
+        return None
     vecs = [(p, tuple(a - b for a, b in zip(p, z))) for p in pts]
     for i, (p, v) in enumerate(vecs):
         vv = sum(c * c for c in v)
@@ -172,10 +172,11 @@ def _candidate_closure(s: PointSet, candidates, k: int) -> PointSet:
     reach."""
     current = list(s.points)
     pending = [z for z in candidates if z not in s]
+    table = DirectionCodes(current + pending)
     while True:
         left = []
         for z in pending:
-            if _hull_support(z, current, k) is None:
+            if _hull_support(z, current, k, table) is None:
                 left.append(z)
             else:
                 current.append(z)
@@ -228,9 +229,11 @@ def is_k_convex(s: PointSet, k: int) -> Verdict:
         # Every point a hull of <= 3 members holds is a lattice point of
         # conv(s), so those candidates are all that needs testing.
         members = s.member_set()
-        for z in lattice_points_in_conv(s).points:
+        lattice = lattice_points_in_conv(s).points
+        table = DirectionCodes(lattice)
+        for z in lattice:
             if z not in members:
-                support = _hull_support(z, s.points, 2)
+                support = _hull_support(z, s.points, 2, table)
                 if support is not None:
                     return Verdict(False, ConvexityWitness(tuple(sorted(support)), z))
         return Verdict(True)

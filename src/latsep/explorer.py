@@ -22,11 +22,12 @@ import json
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
+from math import prod
 
-from .conditions import Partition, check_parallelogram, check_ray, point_codes, search_flag
+from .conditions import Partition, check_parallelogram, check_ray, search_flag
 from .convexity import is_hole_free, is_integrally_convex, is_k_convex
 from .errors import InstanceFormatError, read_json_object
-from .geometry import IntPoint, PointSet, lattice_points_in_conv
+from .geometry import IntPoint, PointSet, box_points, lattice_points_in_conv, point_codes
 from .verdicts import Verdict
 
 # Most cells a grid may have: its 2**cells subsets are enumerated.
@@ -62,17 +63,10 @@ def _passes_filter(s: PointSet, family: str) -> bool:
     raise ValueError(f"unknown family filter {family!r}")
 
 
-def grid_points(dims) -> list[IntPoint]:
-    pts = [()]
-    for n in dims:
-        pts = [p + (x,) for p in pts for x in range(n)]
-    return sorted(pts)
-
-
 def enumerate_family(dims, family: str = "any", start_mask: int = 0):
     """Nonempty subsets of the grid passing the filter, ascending bitmask
     order (deterministic), starting after ``start_mask``."""
-    cells = grid_points(dims)
+    cells = list(box_points([0] * len(dims), [d - 1 for d in dims]))
     n = len(cells)
     if n > MAX_GRID_CELLS:
         raise ValueError(f"grid with {n} cells is too large to enumerate")
@@ -307,7 +301,7 @@ def test_equivalence(
             if stop_after is not None and len(report.violations) >= stop_after:
                 break
         else:
-            cursor = (1 << len(grid_points(dims))) - 1
+            cursor = (1 << prod(dims)) - 1
     finally:
         if pool is not None:
             pool.terminate()
@@ -424,7 +418,7 @@ def _sample_candidate(rng: random.Random, box: int) -> PointSet:
         verts = [tuple(rng.randint(0, box) for _ in range(3)) for _ in range(n_verts)]
         return lattice_points_in_conv(PointSet.of(verts, 3))
     dims = [rng.randint(1, 3) for _ in range(3)]
-    pts = grid_points([d + 1 for d in dims])
+    pts = list(box_points([0, 0, 0], dims))
     for _ in range(rng.randint(1, 3)):
         normal = tuple(rng.choice((-1, 0, 1)) for _ in range(3))
         if normal == (0, 0, 0):

@@ -14,7 +14,9 @@ certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from math import gcd
+from operator import neg, sub
 
 from . import linalg
 from .errors import DimensionMismatchError
@@ -167,31 +169,78 @@ def satisfies(x, den, pairs) -> bool:
     return all(sum(a * b for a, b in zip(n, x)) >= c * den for n, c in pairs)
 
 
-def opposite_pairs(p, points):
-    """Yield (q, r) for points q, r of ``points`` with p strictly inside
-    the segment [q, r]: each r whose vector r - p has the primitive
-    direction opposite to that of some earlier q - p, with q the first
-    such point.  Points equal to p are skipped.
+def point_codes(pts, k: int) -> tuple[list[int], int]:
+    """The mixed-radix code of each point, with radix k * span_i + 1 on
+    axis i and the first axis most significant, and a bound above every
+    sum of up to k codes.  Such sums add without carries, so multisets of
+    at most k points have equal sums exactly when their codes do."""
+    codes = [0] * len(pts)
+    size = 1
+    for column in zip(*pts):
+        low = min(column)
+        radix = k * (max(column) - low) + 1
+        codes = [c * radix + v - low for c, v in zip(codes, column)]
+        size *= radix
+    return codes, size
 
-    One pass that buckets the vectors by ``linalg.primitive_part``; the
-    opposite-direction test under the 1-hull and the hull prune (see the
-    algorithm notes in docs/)."""
-    seen: dict[tuple[int, ...], IntPoint] = {}
-    for r in points:
-        u, g = linalg.primitive_part(tuple(a - b for a, b in zip(r, p)))
-        if not g:
-            continue
-        q = seen.get(tuple(-c for c in u))
-        if q is not None:
-            yield q, r
-        seen.setdefault(u, r)
+
+# Entries per point kept in a ``DirectionCodes`` table.  A box in Z^d has
+# fewer than 2^d distinct differences per point, so dense sets up to Z^5
+# never fill it; sparse sets repeat few differences, and clearing a full
+# table keeps its memory linear in the points, not in the pairs.
+_CODES_PER_POINT = 32
+
+
+class DirectionCodes(dict):
+    """The direction kernel: difference code -> code of its primitive part.
+
+    ``codes`` are ``point_codes(pts, 2)`` and ``code`` maps each point to
+    its code.  For r, q in the box of ``pts``, r - q has the code
+    code(r) - code(q); the map is linear, injective and odd, and codes
+    order like their vectors.  So the primitive code is c // g for g the
+    gcd of c's digits, once per distinct code (algorithm notes in docs/)."""
+
+    def __init__(self, pts):
+        self.codes = point_codes(pts, 2)[0]
+        self.code = dict(zip(pts, self.codes))
+        self.cap = _CODES_PER_POINT * len(pts)
+        spans = [max(c) - min(c) for c in zip(*pts)]
+        self.radices = [(2 * s + 1, s) for s in reversed(spans)]
+
+    def __missing__(self, c):
+        primitive = self[c] = c // (gcd(*self.vector(c)) or 1)
+        return primitive
+
+    def vector(self, c) -> tuple[int, ...]:
+        """The difference vector with code c."""
+        out = []
+        for r, s in self.radices:  # last axis first
+            c, v = divmod(c + s, r)
+            out.append(v - s)
+        return tuple(out[::-1])
+
+    def primitives(self, c, codes):
+        """The primitive code of each of ``codes`` minus c, in order; the
+        table is cleared first when it holds more than its cap."""
+        if len(self) > self.cap:
+            self.clear()
+        return map(self.__getitem__, map(sub, codes, repeat(c)))
+
+    def opposed(self, c, codes) -> set[int]:
+        """The nonzero primitive codes u of ``codes`` minus c with -u one
+        too: the directions along which the point with code c lies
+        strictly between two of the points."""
+        dirs = set(self.primitives(c, codes))
+        dirs.discard(0)
+        return dirs.intersection(map(neg, dirs))
 
 
 def _hull_candidates(points) -> list[IntPoint]:
     """The points that lie strictly inside no segment between two others.
     A vertex of conv(points) never does, so the survivors have the same
     hull."""
-    return [p for p in points if next(opposite_pairs(p, points), None) is None]
+    table = DirectionCodes(points)
+    return [p for p, c in zip(points, table.codes) if not table.opposed(c, table.codes)]
 
 
 def integer_facets(points) -> list[tuple[tuple[int, ...], int]]:
@@ -267,12 +316,21 @@ def lines_through(s: PointSet) -> list[Line]:
     """Every line containing at least two points of s, exactly once,
     ordered by (canonical direction, ``line_key``); each trace is in
     increasing parameter order, which is lex order for a canonical
-    direction."""
+    direction.  A line is found once, from its first point: each point
+    collects the later ones along the directions with no point behind."""
     if len(s) < 2:
         raise DimensionMismatchError("need at least two points")
-    lines: dict[tuple, set[IntPoint]] = {}
-    for p, q in combinations(s.points, 2):
-        d = linalg.canonical_direction(tuple(b - a for a, b in zip(p, q)))
-        lines.setdefault((d, line_key(p, d)), set()).update((p, q))
-    traces = ((d, tuple(sorted(pts))) for (d, _), pts in sorted(lines.items()))
-    return [Line(tr[0], d, tr) for d, tr in traces]
+    table = DirectionCodes(s.points)
+    lines = []
+    for i, (p, c) in enumerate(zip(s.points, table.codes)):
+        prims = list(table.primitives(c, table.codes))
+        behind = set(map(neg, prims[:i]))
+        traces: dict[int, list[IntPoint]] = {}
+        for q, d in zip(s.points[i + 1:], prims[i + 1:]):
+            if d not in behind:
+                traces.setdefault(d, [p]).append(q)
+        for d, trace in traces.items():
+            u = table.vector(d)
+            lines.append((d, line_key(p, u), u, tuple(trace)))
+    lines.sort()
+    return [Line(trace[0], u, trace) for _, _, u, trace in lines]

@@ -75,13 +75,6 @@ def integer_primitive(vec) -> tuple[int, ...]:
     return primitive_part(tuple(ints))[0]
 
 
-def canonical_direction(vec: tuple[int, ...]) -> tuple[int, ...]:
-    """The primitive part u of an integer vector, signed so that the
-    first nonzero entry is positive: the lexicographic max of u and -u."""
-    u, _ = primitive_part(vec)
-    return max(u, tuple(-c for c in u))
-
-
 def independent_subset(vectors) -> list[tuple[int, ...]]:
     """Greedy maximal linearly independent subset, keeping input order.
 

@@ -239,6 +239,24 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, bad, good",
+        [
+            (["conjecture", "--budget"], "-3", "0"),
+            (["conjecture", "--budget", "2", "--max-size"], "0", "2"),
+            (["conjecture", "--budget", "2", "--max-size"], "28", "27"),
+            (["equivalence", "--grid", "1x2", "--stop-after"], "0", "1"),
+        ],
+    )
+    def test_explore_counts_bounded_at_parse_time(self, capsys, command, bad, good):
+        # out of range is a usage error, not exit 0 having done nothing;
+        # a set above 27 points would reach the hunt unbounded
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", *command, bad])
+        assert exc.value.code == 2
+        assert f"got '{bad}'" in capsys.readouterr().err
+        assert main(["explore", *command, good]) == 0
+
     @pytest.mark.parametrize("text", ["{nope", "[1, 2]"])
     @pytest.mark.parametrize(
         "mode", [["equivalence", "--grid", "2x2"], ["conjecture", "--budget", "2"]]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latsep import conditions, linalg
+from latsep import conditions, geometry, linalg
 from latsep.conditions import (
     Partition,
     SeparatingFlag,
@@ -23,6 +23,7 @@ from latsep.geometry import (
     AffineFunctional,
     Line,
     PointSet,
+    _hull_candidates,
     lattice_points_in_conv,
     line_key,
     lines_through,
@@ -307,6 +308,7 @@ class TestRayAgainstLineSweep:
     @given(_wide_ray_partition())
     def test_same_violation_on_wide_coordinates(self, p):
         assert repr(check_ray(p)) == repr(_sweep_check_ray(p))
+        assert lines_through(p.union()) == _sweep_lines_through(p.union())
 
     def test_least_of_several_failing_directions(self):
         # (0, 0) fails along (1, -1), (1, 0) and (1, 1) but not (0, 1):
@@ -323,28 +325,39 @@ class TestRayAgainstLineSweep:
         assert check_ray(p) == Verdict(False, want)
 
     def test_table_of_primitive_codes_stays_linear_on_sparse_points(self, monkeypatch):
-        # far-apart random points hardly repeat a difference: the table is
-        # cleared when full rather than holding all |A| * |B| of them,
-        # and the verdict is the one an unbounded table gives
+        # far-apart random points hardly repeat a difference: the shared
+        # direction table is cleared when full rather than holding every
+        # pair, and the ray check, lines_through and the hull prune each
+        # give what an unbounded table gives
         sizes = []
+        missing = geometry.DirectionCodes.__missing__
 
-        class Recording(conditions._PrimitiveCodes):
-            def __missing__(self, c):
-                sizes.append(len(self))
-                return super().__missing__(c)
+        def recording(table, c):
+            sizes.append(len(table))
+            return missing(table, c)
 
         rng = random.Random(7)
         pts = list({(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(300)})
         p = Partition.of(pts[:150] + [(0, 0), (2, 2)], pts[150:] + [(1, 1)])
-        monkeypatch.setattr(conditions, "_PrimitiveCodes", Recording)
-        got = check_ray(p)
-        # one point's pass adds at most 152 entries past the cap
-        assert max(sizes) <= conditions._CODES_PER_POINT * 303 + 152
-        monkeypatch.setattr(conditions, "_CODES_PER_POINT", len(sizes))
-        sizes.clear()
-        assert check_ray(p) == got
-        assert max(sizes) > 2 * 150 * 150
-        assert got.witness.trace == ((0, 0), (1, 1), (2, 2))
+        s = p.union()
+        # (caller, most entries one point's pass adds past the cap)
+        runs = [
+            (lambda: check_ray(p), 152),
+            (lambda: lines_through(s), 303),
+            (lambda: _hull_candidates(s.points), 303),
+        ]
+        monkeypatch.setattr(geometry.DirectionCodes, "__missing__", recording)
+        got = []
+        for run, per_pass in runs:
+            sizes.clear()
+            got.append(run())
+            assert max(sizes) <= geometry._CODES_PER_POINT * 303 + per_pass
+        monkeypatch.setattr(geometry, "_CODES_PER_POINT", 303**2)
+        for (run, _), want in zip(runs, got):
+            sizes.clear()
+            assert run() == want
+            assert max(sizes) > 2 * 150 * 150
+        assert got[0].witness.trace == ((0, 0), (1, 1), (2, 2))
 
     def test_violation_only_along_non_primitive_differences(self):
         # every difference along the failing line is 2 * (2, 1); the

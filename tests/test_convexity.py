@@ -23,7 +23,9 @@ from latsep.convexity import (
     simplex_lattice_points,
 )
 from latsep.geometry import (
+    DirectionCodes,
     PointSet,
+    _hull_candidates,
     affine_hull_basis,
     bounding_box,
     box_points,
@@ -486,7 +488,6 @@ class TestFaceProperties:
     @pytest.mark.parametrize("dims", [(3, 3), (4, 3)])
     def test_edges_and_faces(self, dims):
         from latsep.geometry import hull_facets
-        from latsep.linalg import canonical_direction
 
         grid = [(x, y) for x in range(dims[0]) for y in range(dims[1])]
         admitted = 0
@@ -503,7 +504,7 @@ class TestFaceProperties:
                 contact = sorted(p for p in s.points if g.value(p) == 0)
                 if len(contact) < 2:
                     continue
-                d = canonical_direction(
+                d, _ = linalg.primitive_part(
                     tuple(b - a for a, b in zip(contact[0], contact[-1]))
                 )
                 assert set(d) <= {-1, 0, 1}
@@ -619,7 +620,7 @@ class TestHullSupportKernel:
     @given(_kernel_case())
     def test_support_is_sound_and_complete(self, case):
         z, pts = case
-        support = _hull_support(z, pts, 2)
+        support = _hull_support(z, pts, 2, DirectionCodes([z, *pts]))
         if support is not None:
             assert 2 <= len(support) <= 3
             assert set(support) <= set(pts)
@@ -632,10 +633,104 @@ class TestHullSupportKernel:
             )
 
     def test_segment_and_triangle_supports(self):
+        def support(z, pts, k):
+            return _hull_support(z, pts, k, DirectionCodes([z, *pts]))
+
         for k in (1, 2):
-            assert set(_hull_support((1, 1), [(0, 0), (3, 0), (2, 2)], k)) == {(0, 0), (2, 2)}
+            assert set(support((1, 1), [(0, 0), (3, 0), (2, 2)], k)) == {(0, 0), (2, 2)}
         tetra = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)]
-        assert set(_hull_support((1, 1, 1), tetra, 2)) == set(tetra[1:])
-        assert _hull_support((1, 1, 1), tetra, 1) is None
+        assert set(support((1, 1, 1), tetra, 2)) == set(tetra[1:])
+        assert support((1, 1, 1), tetra, 1) is None
         small = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
-        assert _hull_support((1, 1, 1), small, 2) is None
+        assert support((1, 1, 1), small, 2) is None
+
+
+# The tuple-based segment step that the hull prune and the 1-hull ran
+# before the shared direction kernel (``geometry.DirectionCodes``), kept
+# verbatim with the triangle step around it as their reference.
+
+def opposite_pairs(p, points):
+    """Yield (q, r) for points q, r of ``points`` with p strictly inside
+    the segment [q, r]: each r whose vector r - p has the primitive
+    direction opposite to that of some earlier q - p, with q the first
+    such point.  Points equal to p are skipped.
+
+    One pass that buckets the vectors by ``linalg.primitive_part``; the
+    opposite-direction test under the 1-hull and the hull prune (see the
+    algorithm notes in docs/)."""
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for r in points:
+        u, g = linalg.primitive_part(tuple(a - b for a, b in zip(r, p)))
+        if not g:
+            continue
+        q = seen.get(tuple(-c for c in u))
+        if q is not None:
+            yield q, r
+        seen.setdefault(u, r)
+
+
+def _tuple_hull_support(z, pts, k):
+    pair = next(opposite_pairs(z, pts), None)
+    if pair is not None or k == 1:
+        return pair
+    vecs = [(p, tuple(a - b for a, b in zip(p, z))) for p in pts]
+    for i, (p, v) in enumerate(vecs):
+        vv = sum(c * c for c in v)
+        lows = {}
+        for q, w in vecs[i + 1:]:
+            vw = sum(a * b for a, b in zip(v, w))
+            u, g = linalg.primitive_part(tuple(vv * b - vw * a for a, b in zip(v, w)))
+            if g == 0:
+                continue  # q on the line through z and p
+            low = lows.get(u)
+            if low is None or vw * low[1] < low[0] * g:
+                lows[u] = (vw, g, q)
+        for u, (s, g, q) in lows.items():
+            opposite = lows.get(tuple(-c for c in u))
+            if opposite is not None and s * opposite[1] + opposite[0] * g <= 0:
+                return (p, q, opposite[2])
+    return None
+
+
+def _tuple_hull_candidates(points):
+    return [p for p in points if next(opposite_pairs(p, points), None) is None]
+
+
+@st.composite
+def _wide_points(draw):
+    """At most 20 distinct points of [-50, 50]^d, d <= 4, on the lattice
+    shift + step * Z^d for a step of 1 to 12: difference codes span
+    several digits of both signs, and the coarse lattices give collinear
+    triples."""
+    dim = draw(st.integers(1, 4))
+    step = draw(st.integers(1, 12))
+    shift = draw(st.tuples(*[st.integers(-2, 2)] * dim))
+    t = st.integers(-48 // step, 48 // step)
+    ts = draw(st.lists(st.tuples(*[t] * dim), min_size=1, max_size=20, unique=True))
+    return sorted(tuple(o + step * v for o, v in zip(shift, x)) for x in ts)
+
+
+class TestDirectionKernelAgainstTuples:
+    """The segment step and the hull prune on the shared direction codes
+    give exactly the tuple-based answers."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_kernel_case())
+    def test_same_support_on_kernel_cases(self, case):
+        z, pts = case
+        table = DirectionCodes([z, *pts])
+        for k in (1, 2):
+            assert _hull_support(z, pts, k, table) == _tuple_hull_support(z, pts, k)
+        assert _hull_candidates(pts) == _tuple_hull_candidates(pts)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_wide_points())
+    def test_same_support_on_wide_coordinates(self, pts):
+        # one table over all the points, shared by every query, as in
+        # the closures
+        table = DirectionCodes(pts)
+        for z in pts:
+            others = [p for p in pts if p != z]
+            for k in (1, 2):
+                assert _hull_support(z, others, k, table) == _tuple_hull_support(z, others, k)
+        assert _hull_candidates(pts) == _tuple_hull_candidates(pts)

@@ -16,11 +16,10 @@ from latsep.explorer import (
     conjecture_hunt,
     enumerate_family,
     evaluate_condition,
-    grid_points,
     hunt_over_set,
     parallelogram_masks,
 )
-from latsep.geometry import PointSet
+from latsep.geometry import PointSet, box_points
 
 
 class TestEnumerateFamily:
@@ -116,7 +115,7 @@ class TestConjectureHunt:
         assert report.samples == 0 and report.ok
 
     def test_unit_cube_exhaustive(self):
-        cube = PointSet.of(grid_points((2, 2, 2)))
+        cube = PointSet.of(box_points((0, 0, 0), (1, 1, 1)))
         report = HuntReport(seed=0, budget=0)
         hunt_over_set(cube, report)
         assert report.partitions_checked == 127
@@ -199,7 +198,7 @@ class TestClausePrunedHunt:
 
     @pytest.mark.parametrize("dims, count", [((2, 2, 3), 148), ((3, 3, 2), 441)])
     def test_boxes_match_brute_force(self, dims, count):
-        box = PointSet.of(grid_points(dims))
+        box = PointSet.of(box_points((0, 0, 0), [d - 1 for d in dims]))
         masks = parallelogram_masks(box, 3)
         assert len(masks) == count
         assert masks == _brute_force_masks(box, 3)
@@ -210,7 +209,7 @@ class TestClausePrunedHunt:
 
     def test_box_333_exhaustive(self):
         # 2**26 - 1 partitions; brute force would take hours
-        box = PointSet.of(grid_points((3, 3, 3)))
+        box = PointSet.of(box_points((0, 0, 0), (2, 2, 2)))
         assert len(parallelogram_masks(box, 3)) == 1350
         report = HuntReport(seed=0, budget=0)
         hunt_over_set(box, report)
