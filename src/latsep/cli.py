@@ -461,6 +461,11 @@ _positive_int = _int_in(1, None, "a positive integer")
 # most MAX_INSTANCE_POINTS lattice points like an instance file's.
 MAX_HUNT_BOX = next(b for b in count() if (b + 2) ** 3 > MAX_INSTANCE_POINTS)
 
+# Largest 'check par --k': the sumset path keeps 2k integers of up to
+# conditions._KRONECKER_MAX_BITS bits (8 MiB) each, so 16 bounds them by
+# 256 MiB; the catalog needs k <= 5.
+MAX_PAR_K = 16
+
 # Largest 'explore conjecture --max-size': the 27 points of {0,1,2}^3,
 # the largest set whose hunt the tests cover.
 MAX_HUNT_SET = 27
@@ -476,7 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run a single condition check")
     chk_sub = chk.add_subparsers(dest="condition", required=True)
     par = chk_sub.add_parser("par", help="k-parallelogram condition")
-    par.add_argument("--k", type=_positive_int, default=2)
+    par.add_argument(
+        "--k", type=_int_in(1, MAX_PAR_K, f"a positive integer up to {MAX_PAR_K}"), default=2
+    )
     par.add_argument("file")
     for name in ("ray", "hole-free", "integrally-convex"):
         c = chk_sub.add_parser(name)

@@ -131,11 +131,11 @@ def check_parallelogram(p: Partition, k: int) -> Verdict:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, digits = point_codes(p.a.points + p.b.points, k)
+    codes, digits = point_codes(p.a.points + p.b.points, k)
     sums = comb(len(p.a) + k, k) + comb(len(p.b) + k, k) - 2
     if digits * _digit_bytes(p) * 8 > _KRONECKER_MAX_BITS or digits > _DIGITS_PER_SUM * sums:
-        return _parallelogram_by_enumeration(p, k)
-    return _parallelogram_by_kronecker(p, k)
+        return _parallelogram_by_enumeration(p, k, codes)
+    return _parallelogram_by_kronecker(p, k, codes, digits)
 
 
 def _digit_bytes(p: Partition) -> int:
@@ -144,8 +144,9 @@ def _digit_bytes(p: Partition) -> int:
     return (max(len(p.a), len(p.b)).bit_length() + 8) // 8
 
 
-def _parallelogram_by_kronecker(p: Partition, k: int) -> Verdict:
-    """check_parallelogram on big integers, one multiply per order and side.
+def _parallelogram_by_kronecker(p: Partition, k: int, codes, digits: int) -> Verdict:
+    """check_parallelogram on big integers, one multiply per order and side;
+    ``codes, digits`` are ``point_codes`` of A's points then B's, for k.
 
     A side becomes the integer with a 1 in digit ``code`` of w bits, and
     its order-j sumset the 1-digits of supp(S_{j-1} * P), the digits
@@ -157,7 +158,6 @@ def _parallelogram_by_kronecker(p: Partition, k: int) -> Verdict:
     """
     a_pts = p.a.points
     b_pts = p.b.points
-    codes, digits = point_codes(a_pts + b_pts, k)
     width = _digit_bytes(p)
     w = width * 8
     fill = int.from_bytes((b"\xff" * (width - 1) + b"\x7f") * digits, "little")
@@ -209,20 +209,19 @@ def _first_multiset(pts, codes, supp, order, targets, w):
     return tuple(chosen), total
 
 
-def _parallelogram_by_enumeration(p: Partition, k: int) -> Verdict:
+def _parallelogram_by_enumeration(p: Partition, k: int, codes) -> Verdict:
     """check_parallelogram by enumerating every multiset of each order:
     the path for few or widely spread points, and the reference the
     Kronecker path is tested against.
 
-    Sums are compared through the ``point_codes`` of the points, computed
-    once for all orders, so each multiset sum costs one integer addition
-    and the per-order tables stay no larger than the number of distinct
-    sums.
+    Sums are compared through ``codes``, the ``point_codes`` of A's
+    points then B's for k, so each multiset sum costs one integer
+    addition and the per-order tables stay no larger than the number of
+    distinct sums.
     """
     a_pts = p.a.points
     b_pts = p.b.points
-    every = a_pts + b_pts
-    code = dict(zip(every, point_codes(every, k)[0]))
+    code = dict(zip(a_pts + b_pts, codes))
     for order in range(1, k + 1):
         table: dict[int, tuple[IntPoint, ...]] = {}
         for combo in combinations_with_replacement(a_pts, order):

@@ -6,8 +6,8 @@ unions of hulls of smaller subsets (Caratheodory inside the subset's own
 affine span), which the sweep enumerates anyway.  Lattice points of the
 surviving simplices are counted with integer arithmetic only: a segment
 is an arithmetic progression, and every larger simplex, in any ambient
-dimension, is one box scan with integer barycentrics (see the algorithm
-notes in docs/).
+dimension, goes through the lattice scan ``geometry.lattice_points`` on
+its integer barycentric forms (see the algorithm notes in docs/).
 
 The k=1 and k=2 closures are target-driven instead: every point they
 can add is a lattice point of conv(S), so they test those candidates one
@@ -31,6 +31,7 @@ from .geometry import (
     box_points,
     convex_combination_support,
     integer_facets,
+    lattice_points,
     lattice_points_in_conv,
     satisfies,
 )
@@ -63,9 +64,9 @@ def _simplex_points(points: tuple[IntPoint, ...]):
 
     A segment is an arithmetic progression.  Otherwise project onto m
     coordinates with a nonzero minor, where the simplex is cut out by
-    m+1 integer barycentric forms >= 0; scan the projected box with the
-    range of the last coordinate solved from the forms, and lift each
-    point back when every other coordinate divides exactly.
+    m+1 integer barycentric forms >= 0; list the projected simplex's
+    lattice points with ``lattice_points``, and lift each one back when
+    every other coordinate divides exactly.
     """
     p0 = points[0]
     if len(points) == 1:
@@ -79,44 +80,30 @@ def _simplex_points(points: tuple[IntPoint, ...]):
     if found is None:
         return
     cols, det, adj = found
-    m = len(cols)
     base = [p0[c] for c in cols]
-    # Affine forms on the projected point y, coefficients then constant:
-    # D times the barycentric coordinate of each edge and of p0, and D
-    # times x_j - p0_j for each coordinate j outside cols.
-    bary = [row + [-sum(r * b for r, b in zip(row, base))] for row in adj]
-    bary.append([-sum(col) for col in zip(*bary)])
-    bary[m][m] += det
+    # On the projected point y, as pairs (n, c) meaning n . y >= c: D
+    # times the barycentric coordinate of each edge, then of p0.
+    pairs = [(row, sum(r * b for r, b in zip(row, base))) for row in adj]
+    pairs.append(([-sum(col) for col in zip(*adj)], -sum(c for _, c in pairs) - det))
+    # D times x_j - p0_j for each coordinate j outside cols, as (n, c)
+    # meaning n . y - c
     lifts = [
-        (j, [sum(w[j] * f[r] for w, f in zip(edges, bary)) for r in range(m + 1)])
+        (j, [sum(w[j] * v for w, v in zip(edges, col)) for col in zip(*adj)],
+         sum(w[j] * c for w, (_, c) in zip(edges, pairs)))
         for j in range(len(p0))
         if j not in cols
     ]
-    proj = [[p[c] for c in cols] for p in points]
-    *spans, last = [(min(v), max(v)) for v in zip(*proj)]
-    for head in product(*(range(l, h + 1) for l, h in spans)):
-        # each form is c + a*t in the last projected coordinate t
-        t_lo, t_hi = last
-        for f in bary:
-            a, c = f[m - 1], f[m] + sum(u * v for u, v in zip(f, head))
-            if a > 0:
-                t_lo = max(t_lo, -(c // a))
-            elif a < 0:
-                t_hi = min(t_hi, c // -a)
-            elif c < 0:
-                t_hi = t_lo - 1
-        for t in range(t_lo, t_hi + 1):
-            y = head + (t,)
-            point = list(p0)
-            for c, v in zip(cols, y):
-                point[c] = v
-            for j, f in lifts:
-                q, rem = divmod(sum(u * v for u, v in zip(f, y)) + f[m], det)
-                if rem:
-                    break
-                point[j] += q
-            else:
-                yield tuple(point)
+    for y in lattice_points(pairs, *bounding_box([[p[c] for c in cols] for p in points])):
+        point = list(p0)
+        for c, v in zip(cols, y):
+            point[c] = v
+        for j, n, c in lifts:
+            q, rem = divmod(sum(u * v for u, v in zip(n, y)) - c, det)
+            if rem:
+                break
+            point[j] += q
+        else:
+            yield tuple(point)
 
 
 # ---------------------------------------------------------------------------

@@ -253,17 +253,7 @@ def test_equivalence(
     JSON line per progress chunk and per violation.
     """
     report = EquivalenceReport(tuple(dims), family, left, right)
-    start_mask = 0
-    if checkpoint:
-        state = _load_checkpoint(checkpoint)
-        if state and state.get("kind") == "equivalence":
-            violations = _checked_violations(
-                checkpoint, state, ("cursor", "sets_checked", "partitions_checked"), "violations"
-            )
-            start_mask = state["cursor"]
-            report.sets_checked = state["sets_checked"]
-            report.partitions_checked = state["partitions_checked"]
-            report.violations = violations
+    start_mask = _resume(checkpoint, "equivalence", report) if checkpoint else 0
 
     tasks = (
         (mask, s.points, s.dim, left, right)
@@ -297,7 +287,7 @@ def test_equivalence(
                     },
                 )
                 if checkpoint:
-                    _save_checkpoint(checkpoint, _equivalence_state(report, cursor))
+                    _save_checkpoint(checkpoint, "equivalence", report, cursor)
             if stop_after is not None and len(report.violations) >= stop_after:
                 break
         else:
@@ -307,44 +297,53 @@ def test_equivalence(
             pool.terminate()
             pool.join()
     if checkpoint:
-        _save_checkpoint(checkpoint, _equivalence_state(report, cursor))
+        _save_checkpoint(checkpoint, "equivalence", report, cursor)
     return report
 
 
-def _equivalence_state(report: EquivalenceReport, cursor: int) -> dict:
-    return {
-        "kind": "equivalence",
-        "cursor": cursor,
-        "sets_checked": report.sets_checked,
-        "partitions_checked": report.partitions_checked,
-        "violations": [v.as_dict() for v in report.violations],
-    }
+# Per checkpoint kind: the report's count fields and its violation list.
+# A conjecture checkpoint also stores the seed, and resumes only a run
+# with the same seed.
+_CHECKPOINT_FIELDS = {
+    "equivalence": (("sets_checked", "partitions_checked"), "violations"),
+    "conjecture": (("samples", "admitted_sets", "partitions_checked"), "counterexamples"),
+}
 
 
-def _load_checkpoint(path: str) -> dict | None:
-    """The JSON object stored at ``path``, or None when there is no file."""
-    return read_json_object(path, f"checkpoint {path}", missing_ok=True)
-
-
-def _checked_violations(path: str, state: dict, counts, listed: str) -> list[Violation]:
-    """The violations in field ``listed`` of a checkpoint, after checking
-    that the fields named in ``counts`` hold non-negative integers.  A
-    missing or ill-typed field raises InstanceFormatError."""
-    for name in counts:
+def _resume(path: str, kind: str, report, **keys) -> int:
+    """Restore ``report`` from the checkpoint at ``path`` and return its
+    cursor; 0, with ``report`` untouched, when there is no file or it was
+    written by another kind of run or with other ``keys``.  A missing or
+    ill-typed field raises InstanceFormatError."""
+    state = read_json_object(path, f"checkpoint {path}", missing_ok=True)
+    if not state or state.get("kind") != kind or any(state.get(k) != v for k, v in keys.items()):
+        return 0
+    counts, listed = _CHECKPOINT_FIELDS[kind]
+    for name in ("cursor", *counts):
         value = state.get(name)
         if type(value) is not int or value < 0:
             raise InstanceFormatError(
                 f"checkpoint {path}: field {name!r} must be a non-negative integer"
             )
     try:
-        return [Violation.from_dict(v) for v in state[listed]]
+        violations = [Violation.from_dict(v) for v in state[listed]]
     except (KeyError, TypeError):
         raise InstanceFormatError(
             f"checkpoint {path}: field {listed!r} must be a list of violations"
         ) from None
+    for name in counts:
+        setattr(report, name, state[name])
+    setattr(report, listed, violations)
+    return state["cursor"]
 
 
-def _save_checkpoint(path: str, state: dict) -> None:
+def _save_checkpoint(path: str, kind: str, report, cursor: int, **keys) -> None:
+    """Store ``report`` and ``cursor`` at ``path``, in the fields that
+    ``_resume`` reads back."""
+    counts, listed = _CHECKPOINT_FIELDS[kind]
+    state = {"kind": kind, "cursor": cursor, **keys}
+    state.update((name, getattr(report, name)) for name in counts)
+    state[listed] = [v.as_dict() for v in getattr(report, listed)]
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(state, fh, sort_keys=True)
@@ -446,17 +445,7 @@ def conjecture_hunt(
     a checkpoint reproduce exactly the samples a fresh run would draw.
     """
     report = HuntReport(seed=seed, budget=budget)
-    start = 0
-    if checkpoint:
-        state = _load_checkpoint(checkpoint)
-        if state and state.get("kind") == "conjecture" and state.get("seed") == seed:
-            counts = ("cursor", "samples", "admitted_sets", "partitions_checked")
-            counterexamples = _checked_violations(checkpoint, state, counts, "counterexamples")
-            start = state["cursor"]
-            report.samples = state["samples"]
-            report.admitted_sets = state["admitted_sets"]
-            report.partitions_checked = state["partitions_checked"]
-            report.counterexamples = counterexamples
+    start = _resume(checkpoint, "conjecture", report, seed=seed) if checkpoint else 0
     for i in range(start, budget):
         rng = random.Random(seed * 1000003 + i)
         report.samples += 1
@@ -474,16 +463,5 @@ def conjecture_hunt(
             },
         )
         if checkpoint:
-            _save_checkpoint(
-                checkpoint,
-                {
-                    "kind": "conjecture",
-                    "seed": seed,
-                    "cursor": i + 1,
-                    "samples": report.samples,
-                    "admitted_sets": report.admitted_sets,
-                    "partitions_checked": report.partitions_checked,
-                    "counterexamples": [v.as_dict() for v in report.counterexamples],
-                },
-            )
+            _save_checkpoint(checkpoint, "conjecture", report, i + 1, seed=seed)
     return report

@@ -141,14 +141,36 @@ def convex_combination_support(x, s: PointSet) -> list[IntPoint] | None:
 
 
 def bounding_box(points) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    lo = tuple(min(p[i] for p in points) for i in range(len(points[0])))
-    hi = tuple(max(p[i] for p in points) for i in range(len(points[0])))
-    return lo, hi
+    columns = list(zip(*points))
+    return tuple(map(min, columns)), tuple(map(max, columns))
 
 
 def box_points(lo, hi):
     """All integer points of the box [lo, hi], lexicographic order."""
     return product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+
+
+def lattice_points(pairs, lo, hi):
+    """The integer points x of the box [lo, hi] with n . x >= c for every
+    pair (n, c), in lexicographic order (the ``box_points`` order).
+
+    All axes but the last are scanned.  With the others fixed, a pair
+    reads a * t >= r in the last coordinate t: a ceiling on t for a > 0,
+    a floor for a < 0, and the whole line or none of it for a = 0, so
+    only points that pass every pair are visited (see the algorithm
+    notes in docs/)."""
+    for head in box_points(lo[:-1], hi[:-1]):
+        t_lo, t_hi = lo[-1], hi[-1]
+        for n, c in pairs:
+            a, r = n[-1], c - sum(u * v for u, v in zip(n, head))
+            if a > 0:
+                t_lo = max(t_lo, -(-r // a))
+            elif a < 0:
+                t_hi = min(t_hi, r // a)
+            elif r > 0:
+                t_hi = t_lo - 1
+        for t in range(t_lo, t_hi + 1):
+            yield head + (t,)
 
 
 def lattice_points_in_conv(s: PointSet) -> PointSet:
@@ -157,9 +179,7 @@ def lattice_points_in_conv(s: PointSet) -> PointSet:
     ``integer_facets``, in lexicographic order; empty for the empty set."""
     if not s.points:
         return s
-    facets = integer_facets(s.points)
-    lo, hi = bounding_box(s.points)
-    inside = [x for x in box_points(lo, hi) if satisfies(x, 1, facets)]
+    inside = lattice_points(integer_facets(s.points), *bounding_box(s.points))
     return PointSet(s.dim, tuple(inside))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from latsep.cli import main, parse_flag_file, parse_instance
+from latsep.cli import MAX_PAR_K, main, parse_flag_file, parse_instance
 from latsep.conditions import Partition
 from latsep.errors import InstanceFormatError
 from latsep.geometry import PointSet
@@ -198,6 +198,16 @@ class TestExitCodes:
         path = _write(tmp_path, "b.json", instance)
         assert main(["check", "hole-free", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_par_k_bounded_at_parse_time(self, tmp_path, capsys):
+        # k = 2000 once ended in a MemoryError traceback with exit 1
+        path = _write(tmp_path, "p.json", {"dim": 2, "A": [[0, 0], [1, 0]], "B": [[0, 1], [1, 1]]})
+        for k in (str(MAX_PAR_K + 1), "2000"):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", "par", "--k", k, path])
+            assert exc.value.code == 2
+            assert f"got '{k}'" in capsys.readouterr().err
+        assert main(["check", "par", "--k", str(MAX_PAR_K), path]) == 0
 
     @pytest.mark.parametrize(
         "flag",

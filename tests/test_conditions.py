@@ -27,6 +27,7 @@ from latsep.geometry import (
     lattice_points_in_conv,
     line_key,
     lines_through,
+    point_codes,
 )
 from latsep.verdicts import RayViolation, Verdict
 
@@ -119,10 +120,20 @@ def _small_partition(draw):
     return Partition.of(pts[:cut], pts[cut:], dim)
 
 
+def _kronecker(p, k):
+    return conditions._parallelogram_by_kronecker(p, k, *point_codes(p.a.points + p.b.points, k))
+
+
+def _enumeration(p, k):
+    return conditions._parallelogram_by_enumeration(p, k, point_codes(p.a.points + p.b.points, k)[0])
+
+
 def _spy(monkeypatch, name, calls):
     """Record the orders each call of a parallelogram path is given."""
     original = getattr(conditions, name)
-    monkeypatch.setattr(conditions, name, lambda p, k: calls.append(k) or original(p, k))
+    monkeypatch.setattr(
+        conditions, name, lambda p, k, *codes: calls.append(k) or original(p, k, *codes)
+    )
 
 
 class TestParallelogramAgainstEnumeration:
@@ -132,8 +143,8 @@ class TestParallelogramAgainstEnumeration:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_small_partition(), st.integers(1, 5))
     def test_same_verdict_and_witness(self, p, k):
-        got = conditions._parallelogram_by_kronecker(p, k)
-        want = conditions._parallelogram_by_enumeration(p, k)
+        got = _kronecker(p, k)
+        want = _enumeration(p, k)
         assert got.holds == want.holds
         assert check_parallelogram(p, k) == want
         if got.holds:
@@ -157,8 +168,8 @@ class TestParallelogramAgainstEnumeration:
                 continue
             a = pts.pop(rng.randrange(len(pts)))
             p = Partition.of([a], pts)
-            v = conditions._parallelogram_by_kronecker(p, 5)
-            assert v == conditions._parallelogram_by_enumeration(p, 5)
+            v = _kronecker(p, 5)
+            assert v == _enumeration(p, 5)
             if not v.holds:
                 orders.add(v.witness.order)
         assert orders == {2, 3, 4, 5}
@@ -166,9 +177,9 @@ class TestParallelogramAgainstEnumeration:
     def test_digit_counts_above_one_byte(self):
         # 200 ordered pairs of A sum to 199, so 8-bit digits would overflow
         p = Partition.of([(x,) for x in range(200)], [(-100,), (299,)])
-        v = conditions._parallelogram_by_kronecker(p, 2)
+        v = _kronecker(p, 2)
         assert not v.holds and v.witness.total == (199,)
-        assert v == conditions._parallelogram_by_enumeration(p, 2)
+        assert v == _enumeration(p, 2)
 
     def test_far_apart_points_take_the_enumeration_path(self, monkeypatch):
         calls = []

@@ -14,6 +14,8 @@ from latsep import linalg
 from latsep.convexity import (
     _closure_sweep,
     _hull_support,
+    _segment_points,
+    _simplex_points,
     _sweep_is_k_convex,
     classify_holes,
     is_hole_free,
@@ -24,6 +26,7 @@ from latsep.convexity import (
 )
 from latsep.geometry import (
     DirectionCodes,
+    IntPoint,
     PointSet,
     _hull_candidates,
     affine_hull_basis,
@@ -37,6 +40,7 @@ from latsep.geometry import (
 from latsep.verdicts import CellWitness, Verdict
 
 from oracles import oracle_integrally_convex_2d, oracle_integrally_convex_lp, oracle_one_convex
+from test_geometry import rank_sets
 
 GRID33 = [(x, y) for x in range(3) for y in range(3)]
 
@@ -54,7 +58,73 @@ def _simplex_543_family():
     return gens, s_prime, a
 
 
+def _inline_scan_simplex_points(points: tuple[IntPoint, ...]):
+    """``_simplex_points`` as it was before it used
+    ``geometry.lattice_points``, with its own solved-axis scan, kept
+    verbatim as its reference."""
+    p0 = points[0]
+    if len(points) == 1:
+        yield p0
+        return
+    if len(points) == 2:
+        yield from _segment_points(p0, points[1])
+        return
+    edges = [tuple(x - o for x, o in zip(p, p0)) for p in points[1:]]
+    found = linalg.minor_adjugate(edges)
+    if found is None:
+        return
+    cols, det, adj = found
+    m = len(cols)
+    base = [p0[c] for c in cols]
+    # Affine forms on the projected point y, coefficients then constant:
+    # D times the barycentric coordinate of each edge and of p0, and D
+    # times x_j - p0_j for each coordinate j outside cols.
+    bary = [row + [-sum(r * b for r, b in zip(row, base))] for row in adj]
+    bary.append([-sum(col) for col in zip(*bary)])
+    bary[m][m] += det
+    lifts = [
+        (j, [sum(w[j] * f[r] for w, f in zip(edges, bary)) for r in range(m + 1)])
+        for j in range(len(p0))
+        if j not in cols
+    ]
+    proj = [[p[c] for c in cols] for p in points]
+    *spans, last = [(min(v), max(v)) for v in zip(*proj)]
+    for head in product(*(range(l, h + 1) for l, h in spans)):
+        # each form is c + a*t in the last projected coordinate t
+        t_lo, t_hi = last
+        for f in bary:
+            a, c = f[m - 1], f[m] + sum(u * v for u, v in zip(f, head))
+            if a > 0:
+                t_lo = max(t_lo, -(c // a))
+            elif a < 0:
+                t_hi = min(t_hi, c // -a)
+            elif c < 0:
+                t_hi = t_lo - 1
+        for t in range(t_lo, t_hi + 1):
+            y = head + (t,)
+            point = list(p0)
+            for c, v in zip(cols, y):
+                point[c] = v
+            for j, f in lifts:
+                q, rem = divmod(sum(u * v for u, v in zip(f, y)) + f[m], det)
+                if rem:
+                    break
+                point[j] += q
+            else:
+                yield tuple(point)
+
+
 class TestSimplexLatticePoints:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rank_sets())
+    def test_same_points_and_order_as_the_inline_scan(self, s):
+        # every subset of up to d + 1 points: the affinely independent ones
+        # list their lattice points, and both yield none for the others
+        for size in range(1, min(len(s), s.dim + 1) + 1):
+            for subset in combinations(s.points, size):
+                got = tuple(_simplex_points(subset))
+                assert got == tuple(_inline_scan_simplex_points(subset)), subset
+
     def test_segment(self):
         assert sorted(simplex_lattice_points(((0, 0), (3, 3)))) == [
             (0, 0), (1, 1), (2, 2), (3, 3),

@@ -18,6 +18,7 @@ from latsep.geometry import (
     box_points,
     hull_facets,
     integer_facets,
+    lattice_points,
     lattice_points_in_conv,
     lines_through,
     point_in_conv,
@@ -117,7 +118,59 @@ def _box(lo, hi):
     return [(x,) + rest for x in range(lo[0], hi[0] + 1) for rest in _box(lo[1:], hi[1:])]
 
 
+@st.composite
+def rank_sets(draw):
+    """A set of at most 6 points of Z^1..Z^4 whose affine hull has at most
+    a random rank: an origin plus combinations of that many directions,
+    so lower-dimensional sets, single points and the empty set occur."""
+    d = draw(st.integers(1, 4))
+    rank = draw(st.integers(0, d))
+    unit = st.integers(-1, 1)
+    origin = draw(st.tuples(*[st.integers(-2, 2)] * d))
+    dirs = draw(st.lists(st.tuples(*[unit] * d), min_size=rank, max_size=rank))
+    coefs = draw(st.lists(st.tuples(*[unit] * rank), max_size=6))
+    return PointSet.of(
+        [tuple(o + sum(c * w[i] for c, w in zip(cs, dirs)) for i, o in enumerate(origin)) for cs in coefs],
+        d,
+    )
+
+
+def _box_tested_lattice_points(s: PointSet) -> PointSet:
+    """The box test ``lattice_points_in_conv`` ran before the solved-axis
+    scan, kept verbatim as its reference."""
+    if not s.points:
+        return s
+    facets = integer_facets(s.points)
+    lo, hi = bounding_box(s.points)
+    inside = [x for x in box_points(lo, hi) if satisfies(x, 1, facets)]
+    return PointSet(s.dim, tuple(inside))
+
+
 class TestLatticePointsInConv:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rank_sets())
+    def test_same_points_and_order_as_the_box_test(self, s):
+        assert lattice_points_in_conv(s).points == _box_tested_lattice_points(s).points
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.tuples(
+                st.lists(
+                    st.tuples(st.tuples(*[st.integers(-2, 2)] * d), st.integers(-4, 4)),
+                    max_size=4,
+                ),
+                st.tuples(*[st.integers(-3, 0)] * d),
+                st.tuples(*[st.integers(0, 3)] * d),
+            )
+        )
+    )
+    def test_scan_filters_the_box_by_any_pairs(self, case):
+        # any pairs, a zero last entry and none at all included
+        pairs, lo, hi = case
+        want = [x for x in box_points(lo, hi) if satisfies(x, 1, pairs)]
+        assert list(lattice_points(pairs, lo, hi)) == want
+
     def test_unimodular_triangle(self):
         s = PointSet.of([(0, 0), (1, 0), (0, 1)])
         assert lattice_points_in_conv(s).points == s.points
