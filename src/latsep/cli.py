@@ -461,9 +461,10 @@ _positive_int = _int_in(1, None, "a positive integer")
 # most MAX_INSTANCE_POINTS lattice points like an instance file's.
 MAX_HUNT_BOX = next(b for b in count() if (b + 2) ** 3 > MAX_INSTANCE_POINTS)
 
-# Largest 'check par --k': the sumset path keeps 2k integers of up to
-# conditions._KRONECKER_MAX_BITS bits (8 MiB) each, so 16 bounds them by
-# 256 MiB; the catalog needs k <= 5.
+# Largest 'check par --k': the sumset integers stay within
+# conditions._KRONECKER_MAX_BITS (32 MiB in all) at any k, but past it the
+# check enumerates C(n + k, k) multisets per side of n points, which grows
+# fast with k; the catalog needs k <= 5.
 MAX_PAR_K = 16
 
 # Largest 'explore conjecture --max-size': the 27 points of {0,1,2}^3,

@@ -103,11 +103,13 @@ class SeparatingFlag:
 # ---------------------------------------------------------------------------
 # parallelogram condition
 
-# Largest dense Kronecker integer (in bits) the sumset check builds.  Its
-# size is (k*span + 1)^d digits, so points far apart in a big box would
-# need gigabytes; above this cap (8 MiB per integer) the check enumerates
-# multisets instead, which is the only path such inputs can take.
-_KRONECKER_MAX_BITS = 1 << 26
+# Most bits the sumset check keeps in its dense Kronecker integers, 32 MiB.
+# It keeps 2k of them, each of (k*span + 1)^d digits, so points far apart
+# in a big box or a large k would need gigabytes; above this budget the
+# check enumerates multisets instead, which is the only path such inputs
+# can take.  Charging k <= 2 for four integers keeps their cap at 8 MiB
+# per integer.
+_KRONECKER_MAX_BITS = 1 << 28
 
 # Enumeration forms one multiset sum per microsecond or so, and a digit
 # of the dense integers costs a tenth of that or more, growing with
@@ -123,9 +125,9 @@ def check_parallelogram(p: Partition, k: int) -> Verdict:
 
     Decided on the k'-fold sumsets encoded as big integers
     (_parallelogram_by_kronecker), unless the points are so few or so
-    spread out that enumerating the multisets is cheaper, or the
-    integers would exceed _KRONECKER_MAX_BITS.  Both paths return the
-    same witness: the first B multiset in
+    spread out that enumerating the multisets is cheaper, or the 2k
+    integers it keeps would exceed _KRONECKER_MAX_BITS in all.  Both
+    paths return the same witness: the first B multiset in
     ``combinations_with_replacement`` order whose sum A also reaches,
     and the first A multiset with that sum, at the least failing order.
     """
@@ -133,7 +135,8 @@ def check_parallelogram(p: Partition, k: int) -> Verdict:
         raise ValueError("k must be >= 1")
     codes, digits = point_codes(p.a.points + p.b.points, k)
     sums = comb(len(p.a) + k, k) + comb(len(p.b) + k, k) - 2
-    if digits * _digit_bytes(p) * 8 > _KRONECKER_MAX_BITS or digits > _DIGITS_PER_SUM * sums:
+    kept_bits = 2 * max(k, 2) * digits * _digit_bytes(p) * 8
+    if kept_bits > _KRONECKER_MAX_BITS or digits > _DIGITS_PER_SUM * sums:
         return _parallelogram_by_enumeration(p, k, codes)
     return _parallelogram_by_kronecker(p, k, codes, digits)
 

@@ -1,18 +1,16 @@
 """k-convexity, hull closures, integral convexity and hole analysis.
 
-The subset-closure operations enumerate simplices spanned by at most
-k+1 points.  Affinely degenerate subsets are skipped: their hulls are
-unions of hulls of smaller subsets (Caratheodory inside the subset's own
-affine span), which the sweep enumerates anyway.  Lattice points of the
-surviving simplices are counted with integer arithmetic only: a segment
-is an arithmetic progression, and every larger simplex, in any ambient
-dimension, goes through the lattice scan ``geometry.lattice_points`` on
-its integer barycentric forms (see the algorithm notes in docs/).
-
-The k=1 and k=2 closures are target-driven instead: every point they
-can add is a lattice point of conv(S), so they test those candidates one
-by one with an integer kernel that finds at most k+1 current points
-whose hull holds the candidate (see the algorithm notes in docs/).
+The closure step adds the lattice points of the hulls of at most k+1
+members.  It is written once per regime, as a generator of (support,
+point) that repeats the step until a pass adds nothing:
+``_sweep_additions`` enumerates the subsets, and ``_candidate_additions``
+(k <= 2) tests each lattice point of conv(S) with an integer kernel that
+finds at most k+1 current points whose hull holds it.  ``is_k_convex``
+reads its witness off the first addition; ``k_convex_hull`` and
+``classify_holes`` take them all.  Lattice points of a simplex are found
+with integer arithmetic only, none for affinely dependent subsets (their
+hulls are covered by smaller subsets), through ``geometry.lattice_points``
+on integer barycentric forms; see the algorithm notes in docs/.
 """
 
 from __future__ import annotations
@@ -151,59 +149,77 @@ def _hull_support(z: IntPoint, pts, k: int, table) -> tuple[IntPoint, ...] | Non
     return None
 
 
-def _candidate_closure(s: PointSet, candidates, k: int) -> PointSet:
-    """Fixed point of the closure step for k = 1 or 2, given every
-    lattice point it could add (a superset of the additions is enough,
-    e.g. the lattice points of conv(s)).  Candidates are retested until a
-    full pass adds none, because each addition can bring others within
-    reach."""
+def _candidate_additions(s: PointSet, candidates, k: int):
+    """The closure step for k = 1 or 2 until a pass adds nothing: each
+    (support, z) in the order z is added, given a superset of the points
+    it could add, such as the lattice points of conv(s).  Candidates are
+    retested, because each addition can bring others within reach; the
+    first one is tested against s alone."""
     current = list(s.points)
     pending = [z for z in candidates if z not in s]
     table = DirectionCodes(current + pending)
-    while True:
+    while pending:
         left = []
         for z in pending:
-            if _hull_support(z, current, k, table) is None:
+            support = _hull_support(z, current, k, table)
+            if support is None:
                 left.append(z)
             else:
                 current.append(z)
+                yield support, z
         if len(left) == len(pending):
-            break
+            return
         pending = left
-    return PointSet(s.dim, tuple(sorted(current)))
 
 
 # ---------------------------------------------------------------------------
 # k-convexity
 
-def _combos_touching_new(pts: list[IntPoint], n_old: int, size: int):
-    """Ascending-index combinations of ``pts`` of the given size that
-    contain at least one index >= n_old."""
-    n = len(pts)
-    for last in range(max(n_old, size - 1), n):
-        for rest in combinations(range(last), size - 1):
-            yield tuple(pts[i] for i in rest) + (pts[last],)
+def _sweep_additions(s: PointSet, k: int):
+    """The subset closure step until a pass adds nothing: each (subset, z)
+    in the order z is added.
+
+    A pass visits the subsets of 2 to k+1 points by size, then in
+    ``combinations`` order, and only those touching a point the previous
+    pass added (older subsets were already exhausted): each head of
+    size - 1 indices goes with each later last index from the first new
+    one on.  The first pass is exactly ``combinations`` order over s."""
+    members = set(s.points)
+    pts, new = [], list(s.points)
+    while new:
+        n_old = len(pts)
+        pts += new
+        new = []
+        for size in range(2, k + 2):
+            for head in combinations(range(len(pts) - 1), size - 1):
+                first = tuple(map(pts.__getitem__, head))
+                for last in pts[max(head[-1] + 1, n_old):]:
+                    subset = first + (last,)
+                    for z in _simplex_points(subset):
+                        if z not in members:
+                            members.add(z)
+                            new.append(z)
+                            yield subset, z
+        new.sort()
 
 
-def _sweep_is_k_convex(s: PointSet, k: int) -> Verdict:
-    """Subset sweep deciding k-convexity, no shortcuts."""
-    members = s.member_set()
-    pts = list(s.points)
-    for size in range(2, k + 2):
-        for subset in combinations(pts, size):
-            for z in _simplex_points(subset):
-                if z not in members:
-                    return Verdict(False, ConvexityWitness(subset, z))
-    return Verdict(True)
+def _rank(s: PointSet) -> int:
+    """The dimension of the affine hull of s, 0 for the empty set."""
+    return len(affine_hull_basis(s)[1]) if s.points else 0
+
+
+def _hull_additions(s: PointSet, k: int, lattice):
+    """The k-hull closure's additions to s, given conv(s)'s lattice points."""
+    return _candidate_additions(s, lattice, k) if k <= 2 else _sweep_additions(s, k)
 
 
 def is_k_convex(s: PointSet, k: int) -> Verdict:
     """Does every subset of at most k+1 points keep its hull's lattice
-    points inside the set?  Witness on failure: (subset, missing point)."""
+    points inside the set?  Witness on failure: (subset, missing point),
+    the first addition of the closure step."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, basis = affine_hull_basis(s)
-    if k >= len(basis):
+    if k >= _rank(s):
         # With k at least the affine rank, one closure step reaches every
         # lattice point of conv(s), so k-convexity means hole-freeness.
         hole = is_hole_free(s)
@@ -215,38 +231,12 @@ def is_k_convex(s: PointSet, k: int) -> Verdict:
     if k == 2:
         # Every point a hull of <= 3 members holds is a lattice point of
         # conv(s), so those candidates are all that needs testing.
-        members = s.member_set()
-        lattice = lattice_points_in_conv(s).points
-        table = DirectionCodes(lattice)
-        for z in lattice:
-            if z not in members:
-                support = _hull_support(z, s.points, 2, table)
-                if support is not None:
-                    return Verdict(False, ConvexityWitness(tuple(sorted(support)), z))
-        return Verdict(True)
-    return _sweep_is_k_convex(s, k)
-
-
-def _closure_sweep(s: PointSet, k: int) -> PointSet:
-    """Fixed point of the subset closure step, no shortcuts.
-
-    Each pass only visits subsets touching a point added by the previous
-    pass; older subsets were already exhausted."""
-    current = set(s.points)
-    old: list[IntPoint] = []
-    new = sorted(current)
-    while new:
-        pts = old + new
-        added = set()
-        for size in range(2, k + 2):
-            for subset in _combos_touching_new(pts, len(old), size):
-                for z in _simplex_points(subset):
-                    if z not in current:
-                        added.add(z)
-        current |= added
-        old = sorted(set(pts))
-        new = sorted(added)
-    return PointSet(s.dim, tuple(sorted(current)))
+        additions = _candidate_additions(s, lattice_points_in_conv(s).points, 2)
+    else:
+        additions = _sweep_additions(s, k)
+    for support, z in additions:
+        return Verdict(False, ConvexityWitness(tuple(sorted(support)), z))
+    return Verdict(True)
 
 
 def k_convex_hull(s: PointSet, k: int) -> PointSet:
@@ -254,12 +244,11 @@ def k_convex_hull(s: PointSet, k: int) -> PointSet:
     the lattice points of hulls of at most k+1 current members."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, basis = affine_hull_basis(s)
-    if k >= len(basis):
-        return lattice_points_in_conv(s)
-    if k <= 2:
-        return _candidate_closure(s, lattice_points_in_conv(s).points, k)
-    return _closure_sweep(s, k)
+    full = lattice_points_in_conv(s)
+    if k >= _rank(s):
+        return full
+    added = tuple(z for _, z in _hull_additions(s, k, full.points))
+    return PointSet(s.dim, tuple(sorted(s.points + added)))
 
 
 def is_hole_free(s: PointSet) -> Verdict:
@@ -369,24 +358,18 @@ def classify_holes(a: PointSet) -> list[HoleReport]:
     """For each lattice point of conv(A) missing from A, the smallest k
     whose k-convex hull of A contains it."""
     full = lattice_points_in_conv(a)
-    members = a.member_set()
-    holes = [z for z in full.points if z not in members]
+    holes = [z for z in full.points if z not in a]
     if not holes:
         return []
-    _, basis = affine_hull_basis(a)
-    rank = len(basis)
+    rank = _rank(a)
     first_k: dict[IntPoint, int] = {}
     hull = a
     # The k-hull of the (k-1)-hull is the k-hull of A, and the k = rank
     # hull is all of conv(A), so holes left by k = rank - 1 get k = rank.
     for k in range(1, rank):
-        if k <= 2:
-            hull = _candidate_closure(hull, [z for z in holes if z not in first_k], k)
-        else:
-            hull = _closure_sweep(hull, k)
-        for z in holes:
-            if z not in first_k and z in hull:
-                first_k[z] = k
+        added = tuple(z for _, z in _hull_additions(hull, k, full.points))
+        first_k.update(dict.fromkeys(added, k))
         if len(first_k) == len(holes):
             break
+        hull = PointSet(a.dim, tuple(sorted(hull.points + added)))
     return [HoleReport(z, first_k.get(z, rank)) for z in holes]

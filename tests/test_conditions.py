@@ -204,6 +204,21 @@ class TestParallelogramAgainstEnumeration:
         assert check_parallelogram(p, 3).holds
         assert (fast, slow) == ([3], [3])
 
+    def test_budget_counts_every_kept_integer(self, monkeypatch):
+        fast, slow = [], []
+        _spy(monkeypatch, "_parallelogram_by_kronecker", fast)
+        _spy(monkeypatch, "_parallelogram_by_enumeration", slow)
+        p = Partition.of([(0, 0), (1, 0)], [(0, 1), (1, 1)])
+        # (k + 1)^2 digits of 8 bits per integer; the budget holds k = 2's
+        # four, while k = 5 keeps ten, each alone as large as the budget
+        monkeypatch.setattr(conditions, "_KRONECKER_MAX_BITS", 4 * 9 * 8)
+        for k in (1, 2, 5, 50):
+            assert check_parallelogram(p, k).holds
+        assert (fast, slow) == ([1, 2], [5, 50])
+        monkeypatch.setattr(conditions, "_KRONECKER_MAX_BITS", 4 * 9 * 8 - 1)
+        assert check_parallelogram(p, 2).holds
+        assert (fast, slow) == ([1, 2], [5, 50, 2])
+
 
 class TestRay:
     def test_diagonal_pairs_hold(self):

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from latsep import linalg
 from latsep.convexity import (
-    _closure_sweep,
     _hull_support,
     _segment_points,
     _simplex_points,
-    _sweep_is_k_convex,
+    _sweep_additions,
     classify_holes,
     is_hole_free,
     is_integrally_convex,
@@ -37,7 +36,7 @@ from latsep.geometry import (
     point_in_conv,
     satisfies,
 )
-from latsep.verdicts import CellWitness, Verdict
+from latsep.verdicts import CellWitness, ConvexityWitness, Verdict
 
 from oracles import oracle_integrally_convex_2d, oracle_integrally_convex_lp, oracle_one_convex
 from test_geometry import rank_sets
@@ -56,6 +55,20 @@ def _simplex_543_family():
     s_prime = lattice_points_in_conv(gens)
     a = PointSet.of(sorted(set(s_prime.points) - {(2, 1, 1)}))
     return gens, s_prime, a
+
+
+def _closure_sweep(s: PointSet, k: int) -> PointSet:
+    """The k-hull by the subset sweep alone, no shortcuts."""
+    added = tuple(z for _, z in _sweep_additions(s, k))
+    return PointSet(s.dim, tuple(sorted(s.points + added)))
+
+
+def _sweep_is_k_convex(s: PointSet, k: int) -> Verdict:
+    """k-convexity by the subset sweep alone: its first addition, if any,
+    is the witness."""
+    for subset, z in _sweep_additions(s, k):
+        return Verdict(False, ConvexityWitness(subset, z))
+    return Verdict(True)
 
 
 def _inline_scan_simplex_points(points: tuple[IntPoint, ...]):
@@ -283,7 +296,11 @@ class TestHoleFree:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_empty_set(self, dim):
-        assert is_hole_free(PointSet(dim, ())) == Verdict(True)
+        empty = PointSet(dim, ())
+        assert is_hole_free(empty) == Verdict(True)
+        for k in (1, 2, 3):
+            assert is_k_convex(empty, k) == Verdict(True)
+            assert k_convex_hull(empty, k) == empty
 
     def test_gap_segment(self):
         v = is_hole_free(PointSet.of([(0, 0), (2, 0)]))
@@ -298,8 +315,6 @@ class TestHoleFree:
     def test_hole_free_iff_dim_convex_on_spanning_sets(self):
         # compare against the raw subset sweep so the two routes stay
         # independent (the public op shortcuts k >= rank to hole-freeness)
-        from latsep.convexity import _sweep_is_k_convex
-
         for pts in _subsets(GRID33):
             s = PointSet.of(pts)
             xs = {p[0] for p in pts}
@@ -655,6 +670,48 @@ class TestTargetDrivenClosure:
             assert got == want
             seen_k |= set(want.values())
         assert seen_k == {1, 2, 3}
+
+    def test_classify_holes_in_z4_matches_hull_tower(self):
+        # k = 3 < rank 4 runs the subset sweep on the 2-hull
+        rng = random.Random(11)
+        seen_k = set()
+        for _ in range(40):
+            while True:
+                size = rng.randint(5, 6)
+                s = PointSet.of([tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(size)])
+                if len(affine_hull_basis(s)[1]) == 4:
+                    break
+            tower = [set(s.points)]
+            tower += [set(k_convex_hull(s, k).points) for k in (1, 2, 3)]
+            tower.append(set(lattice_points_in_conv(s).points))
+            want = {
+                z: next(k for k in (1, 2, 3, 4) if z in tower[k])
+                for z in tower[4] - tower[0]
+            }
+            assert {r.hole: r.first_k for r in classify_holes(s)} == want
+            seen_k |= set(want.values())
+        assert seen_k == {1, 2, 3, 4}
+
+    def test_decision_matches_hull_on_random_sets(self):
+        # is_k_convex(s, k) holds exactly when s is its own k-hull, and a
+        # failing witness names at most k + 1 members whose hull holds a
+        # lattice point outside s
+        rng = random.Random(12)
+        failures = set()
+        for i in range(300):
+            d = 1 + i % 4
+            hi = (8, 4, 3, 2)[d - 1]
+            size = rng.randint(1, 7 - d // 2)
+            s = PointSet.of([tuple(rng.randint(0, hi) for _ in range(d)) for _ in range(size)])
+            for k in (1, 2, 3):
+                got = is_k_convex(s, k)
+                assert got.holds == (k_convex_hull(s, k) == s)
+                if not got.holds:
+                    failures.add((d, k))
+                    w = got.witness
+                    assert len(w.subset) <= k + 1 and set(w.subset) <= s.member_set()
+                    assert w.missing not in s and point_in_conv(w.missing, PointSet.of(w.subset))
+        assert {(d, k) for d in (2, 3, 4) for k in (1, 2, 3)} <= failures
 
     def test_classify_holes_lower_rank(self):
         # a planar set in Z^3: holes the 1-hull misses get k = rank = 2
