@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb, gcd
 
 from . import linalg
@@ -40,7 +39,6 @@ from .exactlp import EqualityFeasibility
 from .geometry import (
     AffineFunctional,
     DirectionCodes,
-    IntPoint,
     PointSet,
     affine_hull_basis,
     line_key,
@@ -172,6 +170,9 @@ def _parallelogram_by_kronecker(p: Partition, k: int, codes, digits: int) -> Ver
             buf[c * width] = 1
         return int.from_bytes(buf, "little")
 
+    def shifted(targets, c, rest):  # the digits of targets less c in rest
+        return (targets >> c * w) & rest
+
     a_codes, b_codes = codes[: len(a_pts)], codes[len(a_pts):]
     a_poly = encode(a_codes)
     b_poly = encode(b_codes)
@@ -183,60 +184,62 @@ def _parallelogram_by_kronecker(p: Partition, k: int, codes, digits: int) -> Ver
             b_supp.append(((b_supp[-1] * b_poly + fill) >> (w - 1)) & ones)
         common = a_supp[order] & b_supp[order]
         if common:
-            right, total = _first_multiset(b_pts, b_codes, b_supp, order, common, w)
-            left, _ = _first_multiset(a_pts, a_codes, a_supp, order, 1 << total * w, w)
+            right, total = _first_multiset(b_pts, b_codes, b_supp, order, common, shifted)
+            left, _ = _first_multiset(a_pts, a_codes, a_supp, order, 1 << total * w, shifted)
             vec = tuple(sum(c) for c in zip(*right))
             return Verdict(False, ParallelogramWitness(order, left, right, vec))
     return Verdict(True)
 
 
-def _first_multiset(pts, codes, supp, order, targets, w):
+def _first_multiset(pts, codes, supp, order, targets, step):
     """The first ``order``-multiset of ``pts`` in
-    ``combinations_with_replacement`` order whose code sum is a nonzero
-    digit of ``targets``, and that sum.
+    ``combinations_with_replacement`` order whose code sum is one of
+    ``targets``, and that sum; ``supp[j]`` holds the order-j sums, and
+    ``step(targets, c, rest)`` gives the targets less c that are in rest.
 
     Greedy peeling finds it: the smallest index i whose code, taken off
-    some target, leaves a sum of order - 1 points (a digit of
+    some target, leaves a sum of order - 1 points (one in
     ``supp[order - 1]``) is the first point of the first such multiset,
     and no point after it needs a smaller index.
     """
-    chosen = []
-    total = 0
-    i = 0
+    chosen, total, i = [], 0, 0
     for remaining in range(order - 1, -1, -1):
         rest = supp[remaining]
-        i = next(j for j in range(i, len(pts)) if (targets >> codes[j] * w) & rest)
+        i = next(j for j in range(i, len(pts)) if step(targets, codes[j], rest))
         chosen.append(pts[i])
         total += codes[i]
-        targets >>= codes[i] * w
+        targets = step(targets, codes[i], rest)
     return tuple(chosen), total
 
 
+def _less(targets: set[int], c: int, rest: set[int]) -> set[int]:
+    """The sums of ``targets`` less c that are in ``rest``."""
+    return {t - c for t in targets} & rest
+
+
 def _parallelogram_by_enumeration(p: Partition, k: int, codes) -> Verdict:
-    """check_parallelogram by enumerating every multiset of each order:
+    """check_parallelogram on the sets of multiset sums of each order:
     the path for few or widely spread points, and the reference the
     Kronecker path is tested against.
 
     Sums are compared through ``codes``, the ``point_codes`` of A's
-    points then B's for k, so each multiset sum costs one integer
-    addition and the per-order tables stay no larger than the number of
-    distinct sums.
+    points then B's for k: a side's order-j sums are its order j - 1
+    sums plus each of its codes, and the sets stay no larger than the
+    number of distinct sums.  The witness is peeled off as on the
+    Kronecker path.
     """
-    a_pts = p.a.points
-    b_pts = p.b.points
-    code = dict(zip(a_pts + b_pts, codes))
+    a_pts, b_pts = p.a.points, p.b.points
+    a_codes, b_codes = codes[: len(a_pts)], codes[len(a_pts):]
+    a_sums, b_sums = [{0}], [{0}]
     for order in range(1, k + 1):
-        table: dict[int, tuple[IntPoint, ...]] = {}
-        for combo in combinations_with_replacement(a_pts, order):
-            total = sum(code[q] for q in combo)
-            if total not in table:
-                table[total] = combo
-        for combo in combinations_with_replacement(b_pts, order):
-            total = sum(code[q] for q in combo)
-            left = table.get(total)
-            if left is not None:
-                vec = tuple(sum(c) for c in zip(*combo))
-                return Verdict(False, ParallelogramWitness(order, left, combo, vec))
+        a_sums.append({s + c for s in a_sums[-1] for c in a_codes})
+        b_sums.append({s + c for s in b_sums[-1] for c in b_codes})
+        common = a_sums[order] & b_sums[order]
+        if common:
+            right, total = _first_multiset(b_pts, b_codes, b_sums, order, common, _less)
+            left, _ = _first_multiset(a_pts, a_codes, a_sums, order, {total}, _less)
+            vec = tuple(sum(c) for c in zip(*right))
+            return Verdict(False, ParallelogramWitness(order, left, right, vec))
     return Verdict(True)
 
 

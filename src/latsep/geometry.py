@@ -14,9 +14,9 @@ certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import product, repeat
 from math import gcd
-from operator import neg, sub
+from operator import mul, neg, sub
 
 from . import linalg
 from .errors import DimensionMismatchError
@@ -255,14 +255,6 @@ class DirectionCodes(dict):
         return dirs.intersection(map(neg, dirs))
 
 
-def _hull_candidates(points) -> list[IntPoint]:
-    """The points that lie strictly inside no segment between two others.
-    A vertex of conv(points) never does, so the survivors have the same
-    hull."""
-    table = DirectionCodes(points)
-    return [p for p, c in zip(points, table.codes) if not table.opposed(c, table.codes)]
-
-
 def integer_facets(points) -> list[tuple[tuple[int, ...], int]]:
     """conv(points) as primitive integer pairs (normal, offset), each
     meaning normal . x >= offset, sorted; in any dimension.
@@ -270,44 +262,52 @@ def integer_facets(points) -> list[tuple[tuple[int, ...], int]]:
     One pair per facet, plus two opposite pairs per equation of the
     affine hull when the points are not full-dimensional, so the pairs
     alone cut out conv(points) for every input: a single point gets the
-    pairs +-e_i, and a set in Z^1 its two endpoints.  Facets are found
-    among the r-subsets of ``_hull_candidates`` for r the affine rank:
-    the subset's normal spans the integer nullspace of its edges and the
-    affine-hull equations (``linalg.null_vectors``), and the subset spans
-    a facet when no two points lie on opposite sides of its plane.
-    An empty input has no such list and raises DimensionMismatchError.
+    pairs +-e_i, and a set in Z^1 its two endpoints.  The facets are the
+    extreme rays of the cone of pairs valid on every point, normals in
+    the affine hull's directions, found by one double-description pass
+    (algorithm notes in docs/): from a simplex of the points, each point
+    in order drops the rays it violates and joins each adjacent pair on
+    its two sides, rays being adjacent when no third ray's bitmask of
+    points on its plane holds their common one.  An empty input has no
+    such list and raises DimensionMismatchError.
     """
     if not points:
         raise DimensionMismatchError("empty point set has no facets")
-    pts = _hull_candidates(points)
-    anchor = pts[0]
-    d = len(anchor)
-    diffs = (tuple(x - a for x, a in zip(p, anchor)) for p in pts[1:])
-    equations = linalg.null_vectors(linalg.independent_subset(diffs), d)
+    anchor = points[0]
+    diffs = [tuple(x - a for x, a in zip(p, anchor)) for p in points]
+    picked = linalg.independent_subset(diffs)
+    equations = linalg.null_vectors(picked, len(anchor))
     out = set()
     for n in equations:
-        c = sum(a * b for a, b in zip(n, anchor))
-        out.add((n, c))
-        out.add((tuple(-v for v in n), -c))
-    if len(equations) == d:
+        c = sum(map(mul, n, anchor))
+        out.update(((n, c), (tuple(-v for v in n), -c)))
+    if not picked:
         return sorted(out)
-    for subset in combinations(pts, d - len(equations)):
-        base = subset[0]
-        rows = [tuple(x - b for x, b in zip(p, base)) for p in subset[1:]] + equations
-        normals = linalg.null_vectors(rows, d)
-        if normals is None:
+    # the simplex on the anchor and the picks: adjugate row j is the facet
+    # through vertex j that misses vertex j + 1, minus their sum the last
+    rows = linalg.minor_adjugate(picked + equations)[2][: len(picked)]
+    rows.append([-sum(col) for col in zip(*rows)])
+    verts = [0] + [diffs.index(v) for v in picked]
+    rays = []
+    for row, v, missed in zip(rows, verts, verts[1:] + verts[:1]):
+        n = linalg.primitive_part(tuple(row))[0]
+        rays.append((n, sum(map(mul, n, points[v])), sum(1 << u for u in verts if u != missed)))
+    for i, p in enumerate(points):
+        values = [sum(map(mul, n, p)) - c for n, c, _ in rays]
+        if min(values) > 0:
             continue
-        n = normals[0]
-        c = sum(a * b for a, b in zip(n, base))
-        side = 0
-        for p in pts:
-            v = sum(a * b for a, b in zip(n, p)) - c
-            if v and side and (v > 0) != (side > 0):
-                break
-            side = side or v
-        else:
-            out.add((n, c) if side > 0 else (tuple(-v for v in n), -c))
-    return sorted(out)
+        bit = 1 << i
+        keep = [(ray, v) for ray, v in zip(rays, values) if v > 0]
+        cut = [(ray, v) for ray, v in zip(rays, values) if v < 0]
+        new = [(n, c, m | bit) for (n, c, m), v in zip(rays, values) if not v]
+        for (a, va), (b, vb) in product(keep, cut):
+            common = a[2] & b[2]
+            if (common.bit_count() >= len(picked) - 1
+                    and sum(m & common == common for *_, m in rays) == 2):
+                n = linalg.primitive_part(tuple(va * y - vb * x for x, y in zip(a[0], b[0])))[0]
+                new.append((n, sum(map(mul, n, p)), common | bit))
+        rays = [ray for ray, _ in keep] + new
+    return sorted(out.union((n, c) for n, c, _ in rays))
 
 
 def hull_facets(s: PointSet) -> list[AffineFunctional]:

@@ -102,21 +102,18 @@ def independent_subset(vectors) -> list[tuple[int, ...]]:
     return picked
 
 
-def null_vectors(rows, d: int) -> list[tuple[int, ...]] | None:
+def null_vectors(rows, d: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of {x in Q^d : w . x = 0 for w in rows},
     one vector per free column in increasing order, normalised like
     reduced row echelon form (the free column's entry positive, the
-    other free columns zero); None when the rows are dependent.
+    other free columns zero).  The rows must be linearly independent.
 
     The vectors are read off ``minor_adjugate``: for the free column f,
     x_f = D and x_cols = -adj . W_f, so W x = 0.
     """
     if not rows:
         return [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    found = minor_adjugate(rows)
-    if found is None:
-        return None
-    cols, det, adj = found
+    cols, det, adj = minor_adjugate(rows)
     out = []
     for f in range(d):
         if f in cols:

@@ -1,8 +1,9 @@
 """Separation conditions: parallelogram, ray, flag verification/search."""
 
 import random
+import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -23,13 +24,12 @@ from latsep.geometry import (
     AffineFunctional,
     Line,
     PointSet,
-    _hull_candidates,
     lattice_points_in_conv,
     line_key,
     lines_through,
     point_codes,
 )
-from latsep.verdicts import RayViolation, Verdict
+from latsep.verdicts import ParallelogramWitness, RayViolation, Verdict
 
 
 def _p44():
@@ -128,6 +128,28 @@ def _enumeration(p, k):
     return conditions._parallelogram_by_enumeration(p, k, point_codes(p.a.points + p.b.points, k)[0])
 
 
+def _multiset_enumeration(p, k):
+    """The enumeration path as it was before it kept sets of sums: every
+    multiset of each order in ``combinations_with_replacement`` order,
+    summed from scratch; the independent reference for the witness."""
+    a_pts = p.a.points
+    b_pts = p.b.points
+    code = dict(zip(a_pts + b_pts, point_codes(a_pts + b_pts, k)[0]))
+    for order in range(1, k + 1):
+        table = {}
+        for combo in combinations_with_replacement(a_pts, order):
+            total = sum(code[q] for q in combo)
+            if total not in table:
+                table[total] = combo
+        for combo in combinations_with_replacement(b_pts, order):
+            total = sum(code[q] for q in combo)
+            left = table.get(total)
+            if left is not None:
+                vec = tuple(sum(c) for c in zip(*combo))
+                return Verdict(False, ParallelogramWitness(order, left, combo, vec))
+    return Verdict(True)
+
+
 def _spy(monkeypatch, name, calls):
     """Record the orders each call of a parallelogram path is given."""
     original = getattr(conditions, name)
@@ -156,6 +178,11 @@ class TestParallelogramAgainstEnumeration:
         assert tuple(map(sum, zip(*w.left))) == tuple(map(sum, zip(*w.right))) == w.total
         # the same multisets as enumeration, so the CLI prints the same
         assert got == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_small_partition(), st.integers(1, 5))
+    def test_sum_sets_give_the_multiset_enumeration_witness(self, p, k):
+        assert _enumeration(p, k) == _multiset_enumeration(p, k)
 
     def test_seeded_cases_fail_at_several_orders(self):
         # A is one point; the check fails at order j when it is the
@@ -218,6 +245,22 @@ class TestParallelogramAgainstEnumeration:
         monkeypatch.setattr(conditions, "_KRONECKER_MAX_BITS", 4 * 9 * 8 - 1)
         assert check_parallelogram(p, 2).holds
         assert (fast, slow) == ([1, 2], [5, 50, 2])
+
+    def test_large_k_builds_each_order_from_the_last(self, monkeypatch):
+        # the Kronecker integers would take gigabytes here; each order's
+        # sums are the previous order's plus one code, so two points a
+        # side cost about k^2 additions, where summing every multiset
+        # from scratch costs k^3 (about a minute)
+        slow = []
+        _spy(monkeypatch, "_parallelogram_by_enumeration", slow)
+        p = Partition.of([(0, 0), (1, 0)], [(0, 1), (1, 1)])
+        start = time.perf_counter()
+        assert check_parallelogram(p, 1000).holds
+        assert time.perf_counter() - start < 5
+        # first fails at order 500: 500 (1)s against 499 (0)s and a (500)
+        v = check_parallelogram(Partition.of([(0,), (500,)], [(1,)]), 1000)
+        assert v == Verdict(False, ParallelogramWitness(500, ((0,),) * 499 + ((500,),), ((1,),) * 500, (500,)))
+        assert slow == [1000, 1000]
 
 
 class TestRay:
@@ -353,8 +396,8 @@ class TestRayAgainstLineSweep:
     def test_table_of_primitive_codes_stays_linear_on_sparse_points(self, monkeypatch):
         # far-apart random points hardly repeat a difference: the shared
         # direction table is cleared when full rather than holding every
-        # pair, and the ray check, lines_through and the hull prune each
-        # give what an unbounded table gives
+        # pair, and the ray check and lines_through each give what an
+        # unbounded table gives
         sizes = []
         missing = geometry.DirectionCodes.__missing__
 
@@ -370,7 +413,6 @@ class TestRayAgainstLineSweep:
         runs = [
             (lambda: check_ray(p), 152),
             (lambda: lines_through(s), 303),
-            (lambda: _hull_candidates(s.points), 303),
         ]
         monkeypatch.setattr(geometry.DirectionCodes, "__missing__", recording)
         got = []

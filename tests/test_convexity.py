@@ -27,7 +27,6 @@ from latsep.geometry import (
     DirectionCodes,
     IntPoint,
     PointSet,
-    _hull_candidates,
     affine_hull_basis,
     bounding_box,
     box_points,
@@ -819,8 +818,16 @@ def _tuple_hull_support(z, pts, k):
     return None
 
 
-def _tuple_hull_candidates(points):
-    return [p for p in points if next(opposite_pairs(p, points), None) is None]
+def _assert_same_opposed(table, pts):
+    """At every point of ``pts``, ``DirectionCodes.opposed`` gives, as
+    vectors, the directions of the ``opposite_pairs`` and their negations."""
+    codes = [table.code[q] for q in pts]
+    for p in pts:
+        want = set()
+        for _, r in opposite_pairs(p, pts):
+            u = linalg.primitive_part(tuple(a - b for a, b in zip(r, p)))[0]
+            want |= {u, tuple(-v for v in u)}
+        assert set(map(table.vector, table.opposed(table.code[p], codes))) == want, (pts, p)
 
 
 @st.composite
@@ -838,8 +845,8 @@ def _wide_points(draw):
 
 
 class TestDirectionKernelAgainstTuples:
-    """The segment step and the hull prune on the shared direction codes
-    give exactly the tuple-based answers."""
+    """The segment step and the opposite directions on the shared
+    direction codes give exactly the tuple-based answers."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_kernel_case())
@@ -848,7 +855,7 @@ class TestDirectionKernelAgainstTuples:
         table = DirectionCodes([z, *pts])
         for k in (1, 2):
             assert _hull_support(z, pts, k, table) == _tuple_hull_support(z, pts, k)
-        assert _hull_candidates(pts) == _tuple_hull_candidates(pts)
+        _assert_same_opposed(table, pts)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(_wide_points())
@@ -860,4 +867,4 @@ class TestDirectionKernelAgainstTuples:
             others = [p for p in pts if p != z]
             for k in (1, 2):
                 assert _hull_support(z, others, k, table) == _tuple_hull_support(z, others, k)
-        assert _hull_candidates(pts) == _tuple_hull_candidates(pts)
+        _assert_same_opposed(table, pts)

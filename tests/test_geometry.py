@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latsep import linalg
+from latsep.convexity import is_hole_free
 from latsep.errors import DimensionMismatchError
 from latsep.geometry import (
     AffineFunctional,
+    DirectionCodes,
     PointSet,
-    _hull_candidates,
     affine_hull_basis,
     bounding_box,
     box_points,
@@ -261,6 +263,55 @@ def _random_rank_set(rng, dim, rank, reach=2):
             return s
 
 
+# The prune and C(h, r) subset scan that ``integer_facets`` ran before the
+# double-description pass, kept with the null vector of each subset read
+# off ``linalg.minor_adjugate`` as the reference the pass is tested against.
+
+def _subset_scan_facets(points):
+    table = DirectionCodes(points)
+    pts = [p for p, c in zip(points, table.codes) if not table.opposed(c, table.codes)]
+    anchor = pts[0]
+    d = len(anchor)
+    diffs = (tuple(x - a for x, a in zip(p, anchor)) for p in pts[1:])
+    equations = linalg.null_vectors(linalg.independent_subset(diffs), d)
+    out = set()
+    for n in equations:
+        c = sum(a * b for a, b in zip(n, anchor))
+        out.add((n, c))
+        out.add((tuple(-v for v in n), -c))
+    if len(equations) == d:
+        return sorted(out)
+    for subset in combinations(pts, d - len(equations)):
+        base = subset[0]
+        rows = [tuple(x - b for x, b in zip(p, base)) for p in subset[1:]] + equations
+        if rows and linalg.minor_adjugate(rows) is None:
+            continue
+        n = linalg.null_vectors(rows, d)[0]
+        c = sum(a * b for a, b in zip(n, base))
+        side = 0
+        for p in pts:
+            v = sum(a * b for a, b in zip(n, p)) - c
+            if v and side and (v > 0) != (side > 0):
+                break
+            side = side or v
+        else:
+            out.add((n, c) if side > 0 else (tuple(-v for v in n), -c))
+    return sorted(out)
+
+
+@st.composite
+def _facet_inputs(draw):
+    """A point list for ``integer_facets`` in Z^1..Z^4: a ``rank_sets``
+    set (lower-rank sets and single points included) or up to 12 points
+    of a small box, with up to 3 points repeated, in shuffled order."""
+    box = st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=12)
+    )
+    pts = draw(st.one_of(rank_sets().filter(len).map(lambda s: list(s.points)), box))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return draw(st.permutations(pts))
+
+
 class TestIntegerFacets:
     """The integer facet kernel against the Fraction/LP code it replaced."""
 
@@ -315,19 +366,19 @@ class TestIntegerFacets:
                     want = [x for x in box_points(lo, hi) if point_in_conv(x, s)]
                     assert list(lattice_points_in_conv(s).points) == want, s.points
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(
-        st.integers(1, 3).flatmap(
-            lambda d: st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=9)
-        )
-    )
-    def test_prune_never_drops_a_vertex(self, pts):
-        s = PointSet.of(pts)
-        kept = _hull_candidates(s.points)
-        for p in s.points:
-            others = PointSet(s.dim, tuple(q for q in s.points if q != p))
-            if p not in kept:
-                assert point_in_conv(p, others), (s.points, p)
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_facet_inputs())
+    def test_same_pairs_as_the_subset_scan(self, pts):
+        assert integer_facets(pts) == _subset_scan_facets(pts)
+
+    def test_simplex_of_39711_points(self):
+        # conv{0, 60 e_i}: four facet pairs over 39,711 lattice points, a
+        # set the prune and subset scan did not finish in minutes
+        s = lattice_points_in_conv(PointSet.of([(0, 0, 0), (60, 0, 0), (0, 60, 0), (0, 0, 60)]))
+        assert len(s) == 39711
+        want = [((-1, -1, -1), -60), ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0)]
+        assert integer_facets(s.points) == want
+        assert is_hole_free(s).holds
 
 
 class TestLinesThrough:
