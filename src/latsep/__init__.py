@@ -2,9 +2,9 @@
 discrete convexity of finite integer point sets.
 
 All decisions run in exact rational arithmetic and return certificates:
-separating flags, blocking flats, equal-sum multisets, violated lines,
-missing lattice points.  See the README for the instance format and the
-command line interface.
+separating flags, common points of two hulls, equal-sum multisets,
+violated lines, missing lattice points.  See the README for the
+instance format and the command line interface.
 """
 
 from .conditions import (
@@ -35,8 +35,8 @@ from .geometry import (
     point_in_conv,
 )
 from .verdicts import (
-    BlockingFlat,
     CellWitness,
+    CommonPoint,
     ConvexityWitness,
     HoleReport,
     HoleWitness,
@@ -49,8 +49,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineFunctional",
-    "BlockingFlat",
     "CellWitness",
+    "CommonPoint",
     "ConvexityWitness",
     "HoleReport",
     "HoleWitness",

@@ -51,15 +51,16 @@ from .errors import (
 from .explorer import CONDITIONS, FAMILY_FILTERS, MAX_GRID_CELLS, conjecture_hunt, test_equivalence
 from .geometry import AffineFunctional, PointSet, bounding_box, box_points, lattice_points_in_conv
 from .svgplot import render_svg
-from .verdicts import BlockingFlat
+from .verdicts import CommonPoint
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
-# Most lattice points a 'box' or 'simplex' instance may span: the bounding
-# box of its corners is checked before any point is built.
+# Most lattice points an instance may span: the bounding box of a 'box'
+# or 'simplex' instance's corners, or of a point list that a command
+# scans the hull of, is checked before any lattice point is built.
 MAX_INSTANCE_POINTS = 2 * 10**6
 
 
@@ -221,10 +222,13 @@ def _require_partition(obj, what: str) -> Partition:
     return obj
 
 
-def _as_point_set(obj) -> PointSet:
-    if isinstance(obj, Partition):
-        return obj.union()
-    return obj
+def _as_point_set(obj, path: str) -> PointSet:
+    """The instance's points.  Every command that takes them scans the
+    lattice points of their hull, so their bounding box is bounded like
+    a 'box' instance's before any point is built."""
+    s = obj.union() if isinstance(obj, Partition) else obj
+    _check_span(path, *bounding_box(s.points))
+    return s
 
 
 def _verdict_exit(holds: bool) -> int:
@@ -265,7 +269,7 @@ def _cmd_check(args) -> int:
             )
         return _verdict_exit(v.holds)
     if kind == "hole-free":
-        s = _as_point_set(obj)
+        s = _as_point_set(obj, args.file)
         v = is_hole_free(s)
         if v.holds:
             print("holds: set equals the lattice points of its hull")
@@ -273,7 +277,7 @@ def _cmd_check(args) -> int:
             print(f"fails: missing lattice point {_fmt_point(v.witness.missing)}")
         return _verdict_exit(v.holds)
     if kind == "integrally-convex":
-        s = _as_point_set(obj)
+        s = _as_point_set(obj, args.file)
         v = is_integrally_convex(s)
         if v.holds:
             print("holds: every local hull matches the global hull")
@@ -285,7 +289,7 @@ def _cmd_check(args) -> int:
             )
         return _verdict_exit(v.holds)
     if kind == "k-convex":
-        s = _as_point_set(obj)
+        s = _as_point_set(obj, args.file)
         v = is_k_convex(s, args.k)
         if v.holds:
             print(f"holds: {args.k}-convex")
@@ -305,13 +309,16 @@ def _cmd_separate(args) -> int:
     if v.holds:
         _print_flag(v.witness)
         return EXIT_HOLDS
-    w: BlockingFlat = v.witness
-    dirs = " ".join(_fmt_point(d) for d in w.basis) or "-"
+    w: CommonPoint = v.witness
+    (weight, a_sum), (_, b_sum) = w.side_sums()
     print("no separating flag exists")
-    print(
-        f"blocking flat: anchor {_fmt_point(w.anchor)} directions {dirs} "
-        f"(every weak separator of the remaining points is constant there)"
-    )
+    print(f"the hulls meet: each side's weights total {weight} and give the same sum")
+    for side, pts, weights, total in (
+        ("A", w.a_points, w.a_weights, a_sum),
+        ("B", w.b_points, w.b_weights, b_sum),
+    ):
+        terms = " + ".join(f"{c}*{_fmt_point(q)}" for q, c in zip(pts, weights))
+        print(f"  {side}: {terms} = {_fmt_point(total)}")
     return EXIT_FAILS
 
 
@@ -328,7 +335,7 @@ def _cmd_verify_flag(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    s = _as_point_set(parse_instance(args.file))
+    s = _as_point_set(parse_instance(args.file), args.file)
     hull = k_convex_hull(s, args.k)
     for p in hull.points:
         print(_fmt_point(p))
@@ -336,7 +343,7 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_holes(args) -> int:
-    s = _as_point_set(parse_instance(args.file))
+    s = _as_point_set(parse_instance(args.file), args.file)
     reports = classify_holes(s)
     for r in reports:
         print(f"hole {_fmt_point(r.hole)} first_k {r.first_k}")
@@ -346,7 +353,7 @@ def _cmd_holes(args) -> int:
 
 
 def _cmd_lemma49(args) -> int:
-    s = _as_point_set(parse_instance(args.file))
+    s = _as_point_set(parse_instance(args.file), args.file)
     if s.dim != 2 or len(s) != 3:
         raise InstanceFormatError("lemma49 needs exactly three points in dimension 2")
     tri = MinimalTriangle(*s.points)

@@ -11,20 +11,17 @@
   subspaces, encoded lexicographically as an ordered list of functionals
   whose first nonzero sign classifies each point.
 
-``search_flag`` is a complete decision procedure for flag separation of
-finite sets.  Working inside the affine hull of the still-unclassified
-points, it asks for each point whether some weak separator (nonnegative
-on one side, nonpositive on the other) is strict there.  By LP duality
-that question is a small convex-combination program: the point fails to
-be strictly separable exactly when it carries positive weight in some
-common point of the two sides' hulls, and when it is separable the dual
-solution of the same program is the separating functional.  Summing the
-dual functionals yields one separator that is strict off the common
-equality set E, which becomes the next flag level; the search recurses
-on E.  If no point is strictly separable, every weak separator is
-constant on the affine hull of the live points and that flat blocks
-every possible flag, which proves that no flag exists (any flag's first
-level would strictly separate at least one live point).
+``search_flag`` decides flag separation of finite sets with one LP,
+because a flag exists exactly when conv(A) and conv(B) are disjoint.
+If the hulls meet at c = sum alpha_a a = sum beta_b b, with convex
+weights alpha and beta, every flag level g is >= 0 on A and <= 0 on B,
+so g(c) = 0 and g vanishes on the support of both combinations.  By
+induction every level vanishes there, so all those points fall to the
+one residual owner; but they include points of both sides, so no flag
+exists.  If the hulls are disjoint, a Farkas vector gives one
+functional that is strict on every point: a flag of one level.  The LP
+asks for the weights alpha and beta, and its feasible point is the
+no-flag certificate.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from .geometry import (
     line_key,
     point_codes,
 )
-from .verdicts import BlockingFlat, ParallelogramWitness, RayViolation, Verdict
+from .verdicts import CommonPoint, ParallelogramWitness, RayViolation, Verdict
 
 OWNER_A = "A"
 OWNER_B = "B"
@@ -109,12 +106,13 @@ class SeparatingFlag:
 # per integer.
 _KRONECKER_MAX_BITS = 1 << 28
 
-# Enumeration forms one multiset sum per microsecond or so, and a digit
-# of the dense integers costs a tenth of that or more, growing with
-# their size.  Few points spread over a big box are therefore cheaper to
-# enumerate: that path is taken when the integers have more than this
-# many digits per multiset sum (measured break-even: 2 to 10).
-_DIGITS_PER_SUM = 8
+# Enumeration builds each order's sums from the last order's distinct
+# ones, while every digit of the dense integers costs work, more of it
+# as they grow.  Few points spread over a big box are therefore cheaper
+# to enumerate: that path is taken when the integers have more than this
+# many digits per multiset sum (measured break-even: 2, see the
+# algorithm notes in docs/).
+_DIGITS_PER_SUM = 2
 
 
 def check_parallelogram(p: Partition, k: int) -> Verdict:
@@ -369,101 +367,58 @@ def _tau_to_ambient(p_vec, q_val, dmap, anchor) -> AffineFunctional:
     return AffineFunctional.of(normal, offset)
 
 
-def _weak_separator(y, r, tau, a_pts, b_pts, q):
-    """(p, c) of the functional tau -> p . tau - c read off the integer
-    dual vector y of the strictness LP at q; raises LatsepError unless it
-    is >= 0 on A, <= 0 on B and nonzero at q."""
-    p = [-v for v in y[:r]]
-    c = y[r]
-
-    def value(pt):
-        return sum(a * b for a, b in zip(p, tau[pt])) - c
-
-    if (
-        any(value(pt) < 0 for pt in a_pts)
-        or any(value(pt) > 0 for pt in b_pts)
-        or value(q) == 0
-    ):
-        raise LatsepError(f"dual functional at {q} is not a weak separator strict there")
-    return p, c
+def _common_point(x, a_pts, b_pts) -> CommonPoint:
+    """The positive entries of x, a feasible point with A's columns
+    first, as integer weights divided by their gcd; raises LatsepError
+    unless the two sides balance."""
+    g = gcd(*x)
+    n_a = len(a_pts)
+    a_side = [(q, v // g) for q, v in zip(a_pts, x[:n_a]) if v > 0]
+    b_side = [(q, v // g) for q, v in zip(b_pts, x[n_a:]) if v > 0]
+    w = CommonPoint(*zip(*a_side), *zip(*b_side))
+    a_sums, b_sums = w.side_sums()
+    if a_sums != b_sums:
+        raise LatsepError("the feasible point does not balance the two sides")
+    return w
 
 
 def search_flag(p: Partition) -> Verdict:
     """Complete decision procedure for flag separation of finite sets.
 
-    On success the witness is a verifying SeparatingFlag; on failure it
-    is the affine flat on which every weak separator of the remaining
-    points is constant.  All arithmetic is on integers: the tau
-    coordinates, the LP rows, and the LP's points and dual functionals,
-    which come over the tableau's positive denominator and are summed
-    as integers.
+    One LP, in the integer coordinates tau of the affine hull of A and
+    B, asks for convex weights on each side with the same barycenter.
+    If it is feasible, the witness is that point of both hulls, a
+    ``CommonPoint``; otherwise its Farkas vector gives a functional
+    strict on every point, and the witness is that one-level flag.  All
+    arithmetic is on integers, and both witnesses are checked before
+    they are returned.
     """
-    a_live = list(p.a.points)
-    b_live = list(p.b.points)
-    funcs: list[AffineFunctional] = []
-    while True:
-        if not a_live or not b_live:
-            if a_live:
-                owner = OWNER_A
-            elif b_live:
-                owner = OWNER_B
-            else:
-                owner = OWNER_EMPTY
-            return Verdict(True, SeparatingFlag(p.dim, tuple(funcs), owner))
+    a_sorted = sorted(p.a.points)
+    b_sorted = sorted(p.b.points)
+    live = sorted(a_sorted + b_sorted)
+    anchor, basis = affine_hull_basis(PointSet(p.dim, tuple(live)))
+    r = len(basis)
+    dmap = _tau_map(anchor, basis)
+    tau = {
+        q: tuple(sum(m * (x - a) for m, x, a in zip(row, q, anchor)) for row in dmap)
+        for q in live
+    }
+    n_a = len(a_sorted)
+    rows = [[tau[q][i] for q in a_sorted] + [-tau[q][i] for q in b_sorted] for i in range(r)]
+    rows.append([1] * n_a + [0] * len(b_sorted))
+    rows.append([0] * n_a + [1] * len(b_sorted))
+    system = EqualityFeasibility(rows, [0] * r + [1, 1])
+    if system.feasible:
+        return Verdict(False, _common_point(system.feasible_point()[0], a_sorted, b_sorted))
 
-        live = sorted(a_live + b_live)
-        anchor, basis = affine_hull_basis(PointSet(p.dim, tuple(live)))
-        r = len(basis)
-        dmap = _tau_map(anchor, basis)
-        tau = {
-            q: tuple(sum(m * (x - a) for m, x, a in zip(row, q, anchor)) for row in dmap)
-            for q in live
-        }
-        a_sorted = sorted(a_live)
-        b_sorted = sorted(b_live)
-        cols = a_sorted + b_sorted
-        n_a = len(a_sorted)
-        rows = [[tau[q][i] for q in a_sorted] + [-tau[q][i] for q in b_sorted] for i in range(r)]
-        rows.append([1] * n_a + [0] * len(b_sorted))
-        rows.append([0] * n_a + [1] * len(b_sorted))
-        system = EqualityFeasibility(rows, [0] * r + [1, 1])
-
-        if not system.feasible:
-            # The hulls of the live sides are disjoint: the Farkas vector
-            # yields a separator with a uniform gap, strict at every point.
-            y, _ = system.farkas_duals()
-            g = _tau_to_ambient([-2 * v for v in y[:r]], y[r] - y[r + 1], dmap, anchor)
-            funcs.append(g)
-            a_live, b_live = [], []
-            continue
-
-        # E: the live points with positive weight in some common point of
-        # the sides' hulls.  (p_acc, q_acc) / acc_den sums the dual
-        # separators collected for the points off E.
-        in_e = {q for q, x in zip(cols, system.feasible_point()[0]) if x > 0}
-        col_of = {q: i for i, q in enumerate(cols)}
-        p_acc = [0] * r
-        q_acc = 0
-        acc_den = 1
-        for q in live:
-            if q in in_e or sum(pc * t for pc, t in zip(p_acc, tau[q])) != q_acc:
-                continue  # in E, or strictly separated by the sum so far
-            costs = [0] * len(cols)
-            costs[col_of[q]] = -1
-            res = system.minimize(costs)
-            if res.objective < 0:
-                in_e.update(pt for pt, x in zip(cols, res.x) if x > 0)
-                continue
-            g_p, g_q = _weak_separator(res.y, r, tau, a_sorted, b_sorted, q)
-            den = res.den
-            p_acc = [a * den + b * acc_den for a, b in zip(p_acc, g_p)]
-            q_acc = q_acc * den + g_q * acc_den
-            acc_den *= den
-            g = gcd(acc_den, q_acc, *p_acc)
-            p_acc, q_acc, acc_den = [v // g for v in p_acc], q_acc // g, acc_den // g
-
-        if len(in_e) == len(live):
-            return Verdict(False, BlockingFlat(anchor, tuple(basis)))
-        funcs.append(_tau_to_ambient(p_acc, q_acc, dmap, anchor))
-        a_live = [q for q in a_sorted if q in in_e]
-        b_live = [q for q in b_sorted if q in in_e]
+    # The hulls are disjoint: the Farkas vector y yields tau -> p . tau - c
+    # with a uniform gap, strict at every point.
+    y, _ = system.farkas_duals()
+    p_vec, c = [-2 * v for v in y[:r]], y[r] - y[r + 1]
+    pt = [0] * len(live)  # p . tau per column, negated on B's as in the rows
+    for u, row in zip(p_vec, rows):
+        pt = [s + u * t for s, t in zip(pt, row)]
+    if any(s <= c for s in pt[:n_a]) or any(s <= -c for s in pt[n_a:]):
+        raise LatsepError("the Farkas functional does not separate the sides strictly")
+    g = _tau_to_ambient(p_vec, c, dmap, anchor)
+    return Verdict(True, SeparatingFlag(p.dim, (g,), OWNER_EMPTY))

@@ -1,61 +1,30 @@
 """Exact linear programming on an integer tableau: integers in, integers out.
 
-A small dense two-phase primal simplex with Dantzig pricing and Bland's
+A small dense phase-1 primal simplex with Dantzig pricing and Bland's
 anti-cycling rule.  Problems are given in equality standard form
 
-    minimize c.x   subject to  A x = b,  x >= 0,  b >= 0,
+    A x = b,  x >= 0,  b >= 0,
 
-with integer A, b and c, which is what the geometric feasibility
+with integer A and b, which is what the geometric feasibility
 questions in this library reduce to.  The tableau is fraction-free:
 integer entries over one common denominator D > 0, pivoted by the
 integer-preserving rule of Edmonds and Bareiss, in which every division
 is exact (the algorithm notes in docs/ give the argument), and results
-are integers over D.  Because every pivot is exact, "optimal", "infeasible" and "unbounded"
-are certificates, not approximations.  The artificial columns stay in
-the tableau, so optimal bases yield exact dual vectors and infeasible
-systems exact Farkas vectors without a further solve.
+are integers over D.  Because every pivot is exact, "feasible" and
+"infeasible" are certificates, not approximations.  The artificial
+columns stay in the tableau, so infeasible systems yield exact Farkas
+vectors without a further solve.
 
-``EqualityFeasibility`` additionally caches the phase-1 work so that many
-objectives can be optimized over one constraint set cheaply; the
-flag-separation search leans on this heavily.
+``EqualityFeasibility`` runs phase 1 only: the library's geometric
+questions need one feasible point or a Farkas vector, never an optimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import LatsepError
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-
-@dataclass
-class LPResult:
-    """An optimum over the tableau denominator ``den`` > 0: objective /
-    den, the point x / den, and duals y / den with one value per original
-    row, so that c_j - y.A_j / den >= 0 for every column j, with equality
-    on the basis."""
-
-    status: str
-    objective: int | None = None
-    x: list[int] | None = None
-    basis: list[int] | None = None
-    y: list[int] | None = None
-    den: int | None = None
-
-
-def _zrow(costs, rows, basis, den, width) -> list[int]:
-    """den times the reduced-cost row of integer ``costs`` (zero past its
-    end) under the current basis, ``width`` long, with den times minus
-    the objective last."""
-    z = [den * c for c in costs] + [0] * (width - len(costs))
-    for row, bi in zip(rows, basis):
-        cb = costs[bi]
-        if cb:
-            z = [a - cb * b for a, b in zip(z, row)]
-    return z
 
 
 def _eliminate(row, prow, p, c, den) -> list[int]:
@@ -73,13 +42,10 @@ def _pivot(rows, z, basis, den, pr, pc) -> int:
     """Integer-preserving pivot on (pr, pc); returns the new denominator.
 
     The pivot row is kept and the new denominator is its pivot entry,
-    negated together with the row when it is negative (so that D > 0
-    and every entry keeps the sign of the rational tableau's)."""
+    which the ratio test takes positive, so D > 0 and every entry keeps
+    the sign of the rational tableau's."""
     prow = rows[pr]
     p = prow[pc]
-    if p < 0:
-        p = -p
-        rows[pr] = prow = [-v for v in prow]
     for i, row in enumerate(rows):
         if i != pr:
             rows[i] = _eliminate(row, prow, p, pc, den)
@@ -141,18 +107,18 @@ def _run(rows, z, basis, den, ncols) -> tuple[str, int]:
 
 
 class EqualityFeasibility:
-    """Phase-1 solved once for A x = b, x >= 0 with integer A and b; then
-    many phase-2 objectives.
+    """Phase 1 for A x = b, x >= 0 with integer A and b: one basic
+    feasible point, or a Farkas vector proving there is none.
 
     The starting basis is the artificial identity, so the tableau starts
-    as [A | I | b] over D = 1.  Rows found redundant during phase 1 are
-    dropped internally; dual vectors are always reported in terms of the
-    original rows (redundant rows get multiplier zero).
+    as [A | I | b] over D = 1.  An artificial still basic at the phase-1
+    optimum sits at 0 (on a redundant row, or degenerately), so it is
+    left there: pivoting it out would not move the point.
     """
 
     def __init__(self, a_rows, b):
-        self.m0 = m = len(a_rows)
-        self.n = n = len(a_rows[0]) if a_rows else 0
+        m = len(a_rows)
+        n = len(a_rows[0]) if a_rows else 0
         if any(v < 0 for v in b):
             raise ValueError("right-hand side must be nonnegative")
         rows = [
@@ -160,7 +126,11 @@ class EqualityFeasibility:
             for i, (row, bv) in enumerate(zip(a_rows, b))
         ]
         basis = [n + i for i in range(m)]
-        z = _zrow([0] * n + [1] * m, rows, basis, 1, n + m + 1)
+        # phase-1 reduced costs under that basis: cost 1 on the
+        # artificials, less every row; minus the objective last
+        z = [0] * n + [1] * m + [0]
+        for row in rows:
+            z = [c - v for c, v in zip(z, row)]
         status, den = _run(rows, z, basis, 1, n + m)
         if status != OPTIMAL:
             raise LatsepError("phase 1 unbounded, but its objective is at least 0")
@@ -169,40 +139,13 @@ class EqualityFeasibility:
             # y = c_B B^-1 for phase-1 costs: 1 - z_{n+i} / den on artificial i
             self._farkas = [den - z[n + i] for i in range(m)], den
             return
-
-        # Drive artificials out of the basis, dropping redundant rows.
-        drop = []
-        for i in range(m):
-            if basis[i] >= n:
-                pc = next((j for j in range(n) if rows[i][j] != 0), None)
-                if pc is None:
-                    drop.append(i)
-                else:
-                    den = _pivot(rows, z, basis, den, i, pc)
-        self._rows = [row for i, row in enumerate(rows) if i not in drop]
-        self._basis = [bi for i, bi in enumerate(basis) if i not in drop]
-        self._den = den
+        self._x = _point(rows, basis, n), den
 
     def feasible_point(self) -> tuple[list[int], int]:
         """(x, den): one basic solution x / den of the system."""
         if not self.feasible:
             raise LatsepError("feasible_point of an infeasible system")
-        return _point(self._rows, self._basis, self.n), self._den
-
-    def minimize(self, costs) -> LPResult:
-        """Minimize costs.x over the feasible region (costs: n integers)."""
-        if not self.feasible:
-            return LPResult(INFEASIBLE)
-        n = self.n
-        rows = [row[:] for row in self._rows]
-        basis = self._basis[:]
-        z = _zrow(costs, rows, basis, self._den, n + self.m0 + 1)
-        status, den = _run(rows, z, basis, self._den, n)
-        if status != OPTIMAL:
-            return LPResult(UNBOUNDED)
-        # y = c_B B^-1 is minus the reduced cost of each artificial column
-        y = [-z[n + i] for i in range(self.m0)]
-        return LPResult(OPTIMAL, -z[-1], _point(rows, basis, n), basis, y, den)
+        return self._x
 
     def farkas_duals(self) -> tuple[list[int], int]:
         """For an infeasible system: (y, den) with y.b > 0 and y.A_j <= 0
@@ -213,8 +156,10 @@ class EqualityFeasibility:
 
 
 def _point(rows, basis, n) -> list[int]:
-    """The basic solution, times the tableau denominator."""
+    """The basic solution's n original columns, times the tableau
+    denominator; a basic artificial is at 0 and is skipped."""
     x = [0] * n
     for row, bi in zip(rows, basis):
-        x[bi] = row[-1]
+        if bi < n:
+            x[bi] = row[-1]
     return x

@@ -253,7 +253,9 @@ def test_equivalence(
     JSON line per progress chunk and per violation.
     """
     report = EquivalenceReport(tuple(dims), family, left, right)
-    start_mask = _resume(checkpoint, "equivalence", report) if checkpoint else 0
+    # the settings a checkpoint must match to be resumed (JSON has no tuples)
+    keys = {"dims": list(dims), "family": family, "left": left, "right": right}
+    start_mask = _resume(checkpoint, "equivalence", report, **keys) if checkpoint else 0
 
     tasks = (
         (mask, s.points, s.dim, left, right)
@@ -287,7 +289,7 @@ def test_equivalence(
                     },
                 )
                 if checkpoint:
-                    _save_checkpoint(checkpoint, "equivalence", report, cursor)
+                    _save_checkpoint(checkpoint, "equivalence", report, cursor, **keys)
             if stop_after is not None and len(report.violations) >= stop_after:
                 break
         else:
@@ -297,13 +299,14 @@ def test_equivalence(
             pool.terminate()
             pool.join()
     if checkpoint:
-        _save_checkpoint(checkpoint, "equivalence", report, cursor)
+        _save_checkpoint(checkpoint, "equivalence", report, cursor, **keys)
     return report
 
 
 # Per checkpoint kind: the report's count fields and its violation list.
-# A conjecture checkpoint also stores the seed, and resumes only a run
-# with the same seed.
+# A checkpoint also stores the run's settings (grid, family and the two
+# conditions; or seed, box and largest set), and resumes only a run with
+# the same ones.
 _CHECKPOINT_FIELDS = {
     "equivalence": (("sets_checked", "partitions_checked"), "violations"),
     "conjecture": (("samples", "admitted_sets", "partitions_checked"), "counterexamples"),
@@ -445,7 +448,8 @@ def conjecture_hunt(
     a checkpoint reproduce exactly the samples a fresh run would draw.
     """
     report = HuntReport(seed=seed, budget=budget)
-    start = _resume(checkpoint, "conjecture", report, seed=seed) if checkpoint else 0
+    keys = {"seed": seed, "box": box, "max_set_size": max_set_size}
+    start = _resume(checkpoint, "conjecture", report, **keys) if checkpoint else 0
     for i in range(start, budget):
         rng = random.Random(seed * 1000003 + i)
         report.samples += 1
@@ -463,5 +467,5 @@ def conjecture_hunt(
             },
         )
         if checkpoint:
-            _save_checkpoint(checkpoint, "conjecture", report, i + 1, seed=seed)
+            _save_checkpoint(checkpoint, "conjecture", report, i + 1, **keys)
     return report

@@ -71,12 +71,22 @@ class RayViolation:
 
 
 @dataclass(frozen=True)
-class BlockingFlat:
-    """Affine flat on which every weak separator of the live points is
-    constant; certifies that no separating flag exists."""
+class CommonPoint:
+    """A point of both sides' hulls, which certifies that no separating
+    flag exists: positive integer weights on some A points and on some B
+    points, with the same total and the same weighted sum."""
 
-    anchor: IntPoint
-    basis: tuple[tuple[int, ...], ...]
+    a_points: tuple[IntPoint, ...]
+    a_weights: tuple[int, ...]
+    b_points: tuple[IntPoint, ...]
+    b_weights: tuple[int, ...]
+
+    def side_sums(self):
+        """(total weight, weighted sum of the points) for A, then for B."""
+        return tuple(
+            (sum(ws), tuple(sum(w * x for w, x in zip(ws, col)) for col in zip(*pts)))
+            for pts, ws in ((self.a_points, self.a_weights), (self.b_points, self.b_weights))
+        )
 
 
 @dataclass(frozen=True)

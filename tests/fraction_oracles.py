@@ -17,7 +17,16 @@ from math import gcd
 from latsep.conditions import OWNER_A, OWNER_B, OWNER_EMPTY, Partition, SeparatingFlag
 from latsep.errors import DimensionMismatchError, LatsepError
 from latsep.geometry import AffineFunctional, IntPoint, PointSet
-from latsep.verdicts import BlockingFlat, Verdict
+from latsep.verdicts import Verdict
+
+
+@dataclass(frozen=True)
+class BlockingFlat:
+    """Affine flat on which every weak separator of the live points is
+    constant: the no-flag answer of the greedy search below."""
+
+    anchor: IntPoint
+    basis: tuple[tuple[int, ...], ...]
 
 
 def frac_rows(rows) -> list[list[Fraction]]:

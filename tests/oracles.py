@@ -123,6 +123,22 @@ def oracle_flag_separable(a_pts, b_pts, _memo=None) -> bool:
     return result
 
 
+def is_common_point(a_pts, b_pts, w) -> bool:
+    """Is w, a no-flag certificate (``CommonPoint``), a point of both
+    hulls?  Each side needs positive integer weights on distinct points
+    of its own, and the two sides the same total weight and the same
+    weighted coordinate sums; checked by integer sums alone."""
+    balance = []
+    for pts, weights, own in ((w.a_points, w.a_weights, a_pts), (w.b_points, w.b_weights, b_pts)):
+        if not pts or len(weights) != len(pts) or len(set(pts)) != len(pts):
+            return False
+        if not set(pts) <= set(own) or not all(type(c) is int and c > 0 for c in weights):
+            return False
+        sums = [sum(c * q[i] for c, q in zip(weights, pts)) for i in range(len(pts[0]))]
+        balance.append((sum(weights), sums))
+    return balance[0] == balance[1]
+
+
 # ---------------------------------------------------------------------------
 # 2-D hulls, clipping, and integral convexity
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from latsep import cli
 from latsep.cli import MAX_PAR_K, main, parse_flag_file, parse_instance
 from latsep.conditions import Partition
 from latsep.errors import InstanceFormatError
@@ -84,14 +85,20 @@ class TestExitCodes:
         )
         assert main(["check", "ray", path]) == 0
 
-    def test_separate_failure_prints_blocking_flat(self, tmp_path, capsys):
+    def test_separate_failure_prints_the_common_point(self, tmp_path, capsys):
         path = _write(
             tmp_path,
             "p48.json",
             {"dim": 3, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "B": [[0, 0, 0], [1, 1, 2]]},
         )
         assert main(["separate", path]) == 1
-        assert "blocking flat" in capsys.readouterr().out
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "no separating flag exists"
+        assert "weights total 4" in out[1]
+        assert out[2:] == [
+            "  A: 2*(0, 0, 1) + 1*(0, 1, 0) + 1*(1, 0, 0) = (1, 1, 2)",
+            "  B: 3*(0, 0, 0) + 1*(1, 1, 2) = (1, 1, 2)",
+        ]
 
     def test_separate_flag_round_trips(self, tmp_path, capsys):
         inst = _write(
@@ -168,6 +175,38 @@ class TestExitCodes:
         assert main(["check", "hole-free", path]) == 2
         assert time.perf_counter() - start < 1.0
         assert "lattice points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check", "hole-free"],
+            ["check", "integrally-convex"],
+            ["check", "k-convex", "--k", "2"],
+            ["hull", "--k", "1"],
+            ["holes"],
+            ["lemma49"],
+        ],
+    )
+    def test_spread_point_list_refused_before_any_scan(self, tmp_path, capsys, monkeypatch, command):
+        # each command scans the lattice points of conv(S); should the
+        # bound ever fail, the scan raises here instead of running
+        def scan(*args):
+            raise AssertionError("the hull of a spread point list was scanned")
+
+        for name in ("is_hole_free", "is_integrally_convex", "is_k_convex", "k_convex_hull",
+                     "classify_holes", "lemma_triple"):
+            monkeypatch.setattr(cli, name, scan)
+        far = [[0, 0], [10**9, 10**9], [0, 1]]
+        for instance in ({"dim": 2, "S": far}, {"dim": 2, "A": far[:2], "B": far[2:]}):
+            path = _write(tmp_path, "far.json", instance)
+            assert main(command + [path]) == 2
+            assert "lattice points" in capsys.readouterr().err
+
+    def test_spread_partition_still_separates(self, tmp_path, capsys):
+        # separate, par and ray never scan the hull, so they are not bounded
+        path = _write(tmp_path, "far.json", {"dim": 2, "A": [[0, 0], [0, 1]], "B": [[10**9, 10**9]]})
+        for command in (["separate"], ["check", "par"], ["check", "ray"]):
+            assert main(command + [path]) == 0
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -291,8 +330,20 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "mode, state",
         [
-            (["equivalence", "--grid", "2x2"], {"kind": "equivalence"}),
-            (["conjecture", "--budget", "2"], {"kind": "conjecture", "seed": 0, "cursor": "x"}),
+            (
+                ["equivalence", "--grid", "2x2"],
+                {
+                    "kind": "equivalence",
+                    "dims": [2, 2],
+                    "family": "integrally-convex",
+                    "left": "parallelogram-2",
+                    "right": "flag",
+                },
+            ),
+            (
+                ["conjecture", "--budget", "2"],
+                {"kind": "conjecture", "seed": 0, "box": 2, "max_set_size": 12, "cursor": "x"},
+            ),
         ],
     )
     def test_checkpoint_missing_or_ill_typed_field_exit_2(self, tmp_path, capsys, mode, state):

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,8 @@ from latsep.geometry import (
     lines_through,
     point_codes,
 )
-from latsep.verdicts import ParallelogramWitness, RayViolation, Verdict
+from latsep.verdicts import CommonPoint, ParallelogramWitness, RayViolation, Verdict
+from oracles import is_common_point, oracle_flag_separable
 
 
 def _p44():
@@ -217,6 +219,18 @@ class TestParallelogramAgainstEnumeration:
         v = check_parallelogram(mid, 3)
         assert not v.holds and v.witness.order == 2 and v.witness.total == (2 * 10**9, 2)
         assert calls == [5, 3]
+
+    def test_moderately_spread_points_take_the_enumeration_path(self, monkeypatch):
+        # 81 digits for 18 multiset sums: 4.5 per sum, above the measured
+        # break-even of 2 but below the 8 per sum the rule once allowed
+        fast, slow = [], []
+        _spy(monkeypatch, "_parallelogram_by_kronecker", fast)
+        _spy(monkeypatch, "_parallelogram_by_enumeration", slow)
+        p = Partition.of([(0, 0), (4, 1), (1, 4)], [(3, 3), (4, 4), (2, 0)])
+        _, digits = point_codes(p.a.points + p.b.points, 2)
+        assert conditions._DIGITS_PER_SUM * 18 < digits <= 8 * 18
+        assert check_parallelogram(p, 2).holds
+        assert (fast, slow) == ([], [2])
 
     def test_dense_points_take_the_kronecker_path_below_the_cap(self, monkeypatch):
         fast, slow = [], []
@@ -474,6 +488,31 @@ class TestVerifyFlag:
             verify_flag(_p44(), flag)
 
 
+@st.composite
+def _flag_partitions(draw):
+    """Partitions of 2-7 distinct points in Z^1-Z^4: the points of a
+    small box in Z^r, r <= d, sent into Z^d by x -> (x, M x) + t for a
+    random integer matrix M and shift t, so that lower-rank sets come up
+    often."""
+    d = draw(st.integers(1, 4))
+    r = d - draw(st.integers(0, d - 1))
+    row = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+    extra = draw(st.lists(row, min_size=d - r, max_size=d - r))
+    shift = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    n = min(7 - draw(st.integers(0, 5)), 3**r)
+    box = st.tuples(*[st.integers(0, 2)] * r)
+    local = draw(st.lists(box, min_size=n, max_size=n, unique=True))
+    pts = sorted(
+        tuple(v + t for v, t in zip(q + tuple(sum(map(mul, m, q)) for m in extra), shift))
+        for q in local
+    )
+    sides = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
+    sides[0], sides[draw(st.integers(1, len(pts) - 1))] = True, False
+    return Partition.of(
+        [q for q, s in zip(pts, sides) if s], [q for q, s in zip(pts, sides) if not s]
+    )
+
+
 class TestSearchFlag:
     def test_counterexample_partitions_fail(self):
         assert not search_flag(_p44()).holds
@@ -489,10 +528,52 @@ class TestSearchFlag:
         assert v.holds and len(v.witness.functionals) == 1
         assert verify_flag(p, v.witness)
 
-    def test_blocking_flat_reported(self):
+    def test_common_point_reported(self):
+        # (0,0) + (1,1) = (1,0) + (0,1): the diagonals cross at (1/2, 1/2)
         v = search_flag(_p44())
-        assert v.witness.anchor == (0, 0)
-        assert len(v.witness.basis) == 2
+        assert v == Verdict(False, CommonPoint(((0, 0), (1, 1)), (1, 1), ((0, 1), (1, 0)), (1, 1)))
+        # 2(0,0,1) + (0,1,0) + (1,0,0) = 3(0,0,0) + (1,1,2), over 4
+        p48 = Partition.of([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 0), (1, 1, 2)])
+        assert search_flag(p48).witness == CommonPoint(
+            ((0, 0, 1), (0, 1, 0), (1, 0, 0)), (2, 1, 1), ((0, 0, 0), (1, 1, 2)), (3, 1)
+        )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_flag_partitions())
+    def test_one_lp_matches_the_oracle(self, p):
+        v = search_flag(p)
+        assert v.holds == oracle_flag_separable(p.a.points, p.b.points)
+        if not v.holds:
+            assert isinstance(v.witness, CommonPoint)
+            assert is_common_point(p.a.points, p.b.points, v.witness)
+            return
+        # one level, strict on every point, by integer sums
+        (g,) = v.witness.functionals
+        assert v.witness.residual_owner == "empty"
+
+        def value(q):
+            return sum(n * x for n, x in zip(g.normal, q)) - g.offset
+
+        assert all(value(q) > 0 for q in p.a.points)
+        assert all(value(q) < 0 for q in p.b.points)
+
+    def test_self_checks_reject_a_wrong_lp_answer(self, monkeypatch):
+        class Skewed(conditions.EqualityFeasibility):
+            """The LP with one more unit of weight on the first A point,
+            and with its Farkas vector negated."""
+
+            def feasible_point(self):
+                x, den = super().feasible_point()
+                return [x[0] + den, *x[1:]], den
+
+            def farkas_duals(self):
+                y, den = super().farkas_duals()
+                return [-v for v in y], den
+
+        monkeypatch.setattr(conditions, "EqualityFeasibility", Skewed)
+        for p in (_p44(), Partition.of([(1, 0), (2, 3)], [(0, 0), (0, 3), (-1, 1)])):
+            with pytest.raises(LatsepError):
+                search_flag(p)
 
     def test_found_flags_verify(self):
         rng = random.Random(31)
@@ -577,11 +658,10 @@ class TestSubspaceChain:
                     assert sum(n * x for n, x in zip(g.normal, d)) == 0
 
 
-def test_search_flag_degenerate_blocking_flat():
-    # collinear live set: the blocking flat is the shared line
+def test_search_flag_collinear_common_point():
+    # collinear points: (1,1) is the midpoint of (0,0) and (2,2)
     v = search_flag(Partition.of([(0, 0), (2, 2)], [(1, 1)]))
-    assert not v.holds
-    assert v.witness.basis == ((1, 1),)
+    assert v == Verdict(False, CommonPoint(((0, 0), (2, 2)), (1, 1), ((1, 1),), (2,)))
 
 
 def test_search_flag_collinear_separable():

@@ -15,6 +15,7 @@ from latsep.geometry import PointSet, convex_combination_support, point_in_conv
 from latsep.linalg import common_denominator
 
 import fraction_oracles
+from oracles import is_common_point
 
 
 def test_feasible_point_convex_combination():
@@ -36,25 +37,6 @@ def test_feasible_point_negative_rhs_flip():
 def test_no_fraction_in_the_integer_layers():
     for module in (latsep.exactlp, latsep.geometry):
         assert Fraction not in vars(module).values()
-
-
-def test_minimize_and_duals_reduced_costs():
-    a_pts = [(0, 0), (1, 1)]
-    b_pts = [(1, 0), (0, 1)]
-    rows = [[p[i] for p in a_pts] + [-q[i] for q in b_pts] for i in range(2)]
-    rows += [[1, 1, 0, 0], [0, 0, 1, 1]]
-    sys_ = EqualityFeasibility(rows, [0, 0, 1, 1])
-    assert sys_.feasible
-    for i in range(4):
-        costs = [0] * 4
-        costs[i] = -1
-        res = sys_.minimize(costs)
-        assert res.status == "optimal" and res.den > 0
-        assert Fraction(-res.objective, res.den) == Fraction(1, 2)
-        cols = [[rows[r][j] for r in range(4)] for j in range(4)]
-        for j, col in enumerate(cols):
-            rc = costs[j] * res.den - sum(a * b for a, b in zip(res.y, col))
-            assert rc >= 0
 
 
 def test_infeasible_farkas_certificate():
@@ -81,13 +63,6 @@ def test_misuse_raises_under_python_O():
         feasible.farkas_duals()
 
 
-def test_unbounded():
-    # min -x subject to x - y = 0: ray (t, t) drives the objective down
-    sys_ = EqualityFeasibility([[1, -1]], [0])
-    res = sys_.minimize([-1, 0])
-    assert res.status == "unbounded"
-
-
 def test_redundant_rows_are_dropped():
     # second row is twice the first
     rows = [[1, 1], [2, 2], [1, 0]]
@@ -95,9 +70,6 @@ def test_redundant_rows_are_dropped():
     assert sys_.feasible
     x, den = sys_.feasible_point()
     assert x == [den, 0] and den > 0
-    res = sys_.minimize([0, -1])
-    assert res.status == "optimal"
-    assert len(res.y) == 3  # duals reported for all original rows
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +80,12 @@ _fracs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
 
 
 def _systems(entries):
-    """(rows, rhs, cost vectors) with 1-4 rows and 1-6 columns."""
+    """(rows, rhs) with 1-4 rows and 1-6 columns."""
     return st.integers(1, 4).flatmap(
         lambda m: st.integers(1, 6).flatmap(
             lambda n: st.tuples(
                 st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m),
                 st.lists(entries.map(abs), min_size=m, max_size=m),
-                st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3),
             )
         )
     )
@@ -124,7 +95,7 @@ def _fractions(ints, den):
     return [Fraction(v, den) for v in ints]
 
 
-def _agree(rows, rhs, cost_vectors):
+def _agree(rows, rhs):
     new = EqualityFeasibility(rows, rhs)
     old = fraction_oracles.EqualityFeasibility(rows, rhs)
     assert new.feasible == old.feasible
@@ -132,37 +103,25 @@ def _agree(rows, rhs, cost_vectors):
         assert _fractions(*new.farkas_duals()) == old.farkas_duals()
         return
     assert _fractions(*new.feasible_point()) == old.feasible_point()
-    for costs in cost_vectors:
-        got = new.minimize(costs)
-        want = old.minimize(costs)
-        assert got.status == want.status
-        if want.status == "optimal":
-            assert Fraction(got.objective, got.den) == want.objective
-            assert (_fractions(got.x, got.den), got.basis) == (want.x, want.basis)
-            assert _fractions(got.y, got.den) == old.duals(costs, want.basis)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_systems(_ints))
 def test_integer_tableau_matches_fraction_tableau(system):
-    rows, rhs, cost_vectors = system
-    _agree(rows, rhs, cost_vectors)
-    # a redundant row, which phase 1 drops
-    _agree(rows + [[2 * v for v in rows[0]]], rhs + [2 * rhs[0]], cost_vectors)
+    rows, rhs = system
+    _agree(rows, rhs)
+    # a redundant row, whose artificial the Fraction tableau drives out
+    _agree(rows + [[2 * v for v in rows[0]]], rhs + [2 * rhs[0]])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_systems(_fracs))
 def test_rational_systems_match_fraction_tableau(system):
     # the integer tableau takes integer rows: scale each row by the lcm
-    # of its denominators, and the costs by theirs
-    rows, rhs, cost_vectors = system
+    # of its denominators
+    rows, rhs = system
     scaled = [common_denominator([*row, bv])[0] for row, bv in zip(rows, rhs)]
-    _agree(
-        [row[:-1] for row in scaled],
-        [row[-1] for row in scaled],
-        [common_denominator(costs)[0] for costs in cost_vectors],
-    )
+    _agree([row[:-1] for row in scaled], [row[-1] for row in scaled])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -184,4 +143,18 @@ def test_search_flag_matches_fraction_search(case):
     if not a or not b:
         return
     p = Partition.of(a, b)
-    assert search_flag(p) == fraction_oracles.search_flag(p)
+    got, want = search_flag(p), fraction_oracles.search_flag(p)
+    if want.holds:
+        assert got == want
+        return
+    # the common point lies in the flat on which the Fraction search
+    # found every weak separator constant
+    assert not got.holds and is_common_point(a, b, got.witness)
+    anchor, basis = want.witness.anchor, want.witness.basis
+    for q in got.witness.a_points + got.witness.b_points:
+        offset = [x - y for x, y in zip(q, anchor)]
+        assert _rank([*basis, offset]) == len(basis)
+
+
+def _rank(vectors) -> int:
+    return len(fraction_oracles.rref(fraction_oracles.frac_rows(vectors))[1])

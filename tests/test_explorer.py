@@ -94,6 +94,24 @@ class TestEquivalence:
         assert len(resumed.violations) == len(fresh.violations)
         assert partial.sets_checked <= fresh.sets_checked
 
+    def test_checkpoint_of_other_settings_starts_afresh(self, tmp_path):
+        cp = str(tmp_path / "cp.json")
+        explorer.test_equivalence((2, 3), "any", "parallelogram-2", "flag", checkpoint=cp)
+        for run in (
+            ((2, 2), "hole-free", "ray", "flag"),
+            ((2, 2), "hole-free", "ray", "parallelogram-2"),
+            ((3, 2), "hole-free", "ray", "parallelogram-2"),
+        ):
+            resumed = explorer.test_equivalence(*run, checkpoint=cp)
+            fresh = explorer.test_equivalence(*run)
+            assert (resumed.sets_checked, resumed.partitions_checked) == (
+                fresh.sets_checked,
+                fresh.partitions_checked,
+            )
+            assert [v.as_dict() for v in resumed.violations] == [
+                v.as_dict() for v in fresh.violations
+            ]
+
     def test_jobs_match_serial(self):
         serial = explorer.test_equivalence((2, 3), "hole-free", "parallelogram-2", "flag")
         parallel = explorer.test_equivalence(
@@ -149,6 +167,18 @@ class TestConjectureHunt:
             fresh.admitted_sets,
             fresh.partitions_checked,
         )
+
+    def test_checkpoint_of_other_settings_starts_afresh(self, tmp_path):
+        cp = str(tmp_path / "hunt.json")
+        conjecture_hunt(12, seed=1, box=2, checkpoint=cp)
+        for box, max_set_size in ((5, 4), (5, 12), (2, 4)):
+            resumed = conjecture_hunt(12, seed=1, box=box, max_set_size=max_set_size, checkpoint=cp)
+            fresh = conjecture_hunt(12, seed=1, box=box, max_set_size=max_set_size)
+            assert (resumed.samples, resumed.admitted_sets, resumed.partitions_checked) == (
+                fresh.samples,
+                fresh.admitted_sets,
+                fresh.partitions_checked,
+            )
 
 
 def _brute_force_masks(s, k):
