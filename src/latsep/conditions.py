@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 
 from . import linalg
@@ -382,6 +383,19 @@ def _common_point(x, a_pts, b_pts) -> CommonPoint:
     return w
 
 
+@lru_cache(maxsize=1)
+def _chart(dim: int, live: tuple) -> tuple:
+    """The anchor and ``_tau_map`` of the affine hull of the sorted points
+    ``live``, and tau of each point: the same for every split, read only."""
+    anchor, basis = affine_hull_basis(PointSet(dim, live))
+    dmap = _tau_map(anchor, basis)
+    tau = {
+        q: tuple(sum(m * (x - a) for m, x, a in zip(row, q, anchor)) for row in dmap)
+        for q in live
+    }
+    return anchor, dmap, tau
+
+
 def search_flag(p: Partition) -> Verdict:
     """Complete decision procedure for flag separation of finite sets.
 
@@ -391,18 +405,13 @@ def search_flag(p: Partition) -> Verdict:
     ``CommonPoint``; otherwise its Farkas vector gives a functional
     strict on every point, and the witness is that one-level flag.  All
     arithmetic is on integers, and both witnesses are checked before
-    they are returned.
+    they are returned.  The chart comes from ``_chart``, which keeps
+    the last union's, so the bipartitions of one set share one chart.
     """
     a_sorted = sorted(p.a.points)
     b_sorted = sorted(p.b.points)
-    live = sorted(a_sorted + b_sorted)
-    anchor, basis = affine_hull_basis(PointSet(p.dim, tuple(live)))
-    r = len(basis)
-    dmap = _tau_map(anchor, basis)
-    tau = {
-        q: tuple(sum(m * (x - a) for m, x, a in zip(row, q, anchor)) for row in dmap)
-        for q in live
-    }
+    anchor, dmap, tau = _chart(p.dim, tuple(sorted(a_sorted + b_sorted)))
+    r = len(dmap)
     n_a = len(a_sorted)
     rows = [[tau[q][i] for q in a_sorted] + [-tau[q][i] for q in b_sorted] for i in range(r)]
     rows.append([1] * n_a + [0] * len(b_sorted))
@@ -415,7 +424,7 @@ def search_flag(p: Partition) -> Verdict:
     # with a uniform gap, strict at every point.
     y, _ = system.farkas_duals()
     p_vec, c = [-2 * v for v in y[:r]], y[r] - y[r + 1]
-    pt = [0] * len(live)  # p . tau per column, negated on B's as in the rows
+    pt = [0] * len(tau)  # p . tau per column, negated on B's as in the rows
     for u, row in zip(p_vec, rows):
         pt = [s + u * t for s, t in zip(pt, row)]
     if any(s <= c for s in pt[:n_a]) or any(s <= -c for s in pt[n_a:]):

@@ -304,23 +304,33 @@ def test_equivalence(
 
 
 # Per checkpoint kind: the report's count fields and its violation list.
-# A checkpoint also stores the run's settings (grid, family and the two
-# conditions; or seed, box and largest set), and resumes only a run with
-# the same ones.
+# A checkpoint also stores its kind and the run's settings (grid, family
+# and the two conditions; or seed, box and largest set), and any run with
+# other ones refuses it.
 _CHECKPOINT_FIELDS = {
     "equivalence": (("sets_checked", "partitions_checked"), "violations"),
     "conjecture": (("samples", "admitted_sets", "partitions_checked"), "counterexamples"),
 }
+_PROGRESS = {"cursor", *(f for c, v in _CHECKPOINT_FIELDS.values() for f in (*c, v))}
 
 
 def _resume(path: str, kind: str, report, **keys) -> int:
     """Restore ``report`` from the checkpoint at ``path`` and return its
-    cursor; 0, with ``report`` untouched, when there is no file or it was
-    written by another kind of run or with other ``keys``.  A missing or
-    ill-typed field raises InstanceFormatError."""
+    cursor, or 0 when there is no file.  A checkpoint of another kind of
+    run, with other ``keys`` or with a missing or ill-typed field raises
+    InstanceFormatError, and the file is left as it is."""
     state = read_json_object(path, f"checkpoint {path}", missing_ok=True)
-    if not state or state.get("kind") != kind or any(state.get(k) != v for k, v in keys.items()):
+    if state is None:
         return 0
+    if state.get("kind") != kind or any(state.get(k) != v for k, v in keys.items()):
+        stored, wanted = (
+            ", ".join(f"{k}={json.dumps(v)}" for k, v in sorted(d.items()) if k not in _PROGRESS)
+            for d in (state, {"kind": kind, **keys})
+        )
+        raise InstanceFormatError(
+            f"checkpoint {path}: holds a run with {stored or 'no settings'}, not this "
+            f"one's {wanted}; name another checkpoint file"
+        )
     counts, listed = _CHECKPOINT_FIELDS[kind]
     for name in ("cursor", *counts):
         value = state.get(name)
@@ -384,7 +394,7 @@ def hunt_over_set(s: PointSet, report: HuntReport, stream=None) -> None:
     ``parallelogram_masks`` lists the partitions with the condition;
     every other one breaks a clause, which is a 3-parallelogram failure,
     so all of them count as checked and flag search runs only on the
-    survivors.
+    survivors, in a row, so ``search_flag`` builds its chart once for all.
     """
     if len(s) < 2:
         return

@@ -351,6 +351,19 @@ class TestExitCodes:
         assert main(["explore", *mode, "--checkpoint", path]) == 2
         assert "error: checkpoint" in capsys.readouterr().err
 
+    def test_checkpoint_of_other_settings_exit_2(self, tmp_path, capsys):
+        # another run's checkpoint is refused, not restarted and overwritten
+        path = tmp_path / "cp.json"
+        assert main(["explore", "equivalence", "--grid", "2x3", "--checkpoint", str(path)]) == 0
+        stored = path.read_bytes()
+        capsys.readouterr()
+        for other in (["equivalence", "--grid", "2x2"], ["conjecture", "--budget", "2"]):
+            assert main(["explore", *other, "--checkpoint", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: checkpoint")
+            assert "dims=[2, 3]" in err and 'kind="equivalence"' in err
+            assert path.read_bytes() == stored
+
 
 class TestCommands:
     def test_hull_lists_points(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latsep import conditions, geometry, linalg
+from latsep import conditions, explorer, geometry, linalg
 from latsep.conditions import (
     Partition,
     SeparatingFlag,
@@ -489,11 +489,10 @@ class TestVerifyFlag:
 
 
 @st.composite
-def _flag_partitions(draw):
-    """Partitions of 2-7 distinct points in Z^1-Z^4: the points of a
-    small box in Z^r, r <= d, sent into Z^d by x -> (x, M x) + t for a
-    random integer matrix M and shift t, so that lower-rank sets come up
-    often."""
+def _flag_points(draw):
+    """2-7 distinct sorted points in Z^1-Z^4: the points of a small box
+    in Z^r, r <= d, sent into Z^d by x -> (x, M x) + t for a random
+    integer matrix M and shift t, so that lower-rank sets come up often."""
     d = draw(st.integers(1, 4))
     r = d - draw(st.integers(0, d - 1))
     row = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
@@ -502,15 +501,51 @@ def _flag_partitions(draw):
     n = min(7 - draw(st.integers(0, 5)), 3**r)
     box = st.tuples(*[st.integers(0, 2)] * r)
     local = draw(st.lists(box, min_size=n, max_size=n, unique=True))
-    pts = sorted(
+    return sorted(
         tuple(v + t for v, t in zip(q + tuple(sum(map(mul, m, q)) for m in extra), shift))
         for q in local
     )
+
+
+@st.composite
+def _flag_partitions(draw):
+    """Partitions of the points of ``_flag_points``."""
+    pts = draw(_flag_points())
     sides = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
     sides[0], sides[draw(st.integers(1, len(pts) - 1))] = True, False
     return Partition.of(
         [q for q, s in zip(pts, sides) if s], [q for q, s in zip(pts, sides) if not s]
     )
+
+
+@st.composite
+def _interleaved_partitions(draw):
+    """Partitions of two or three sets from ``_flag_points``, in a drawn
+    order.  When the first set has three or more points, the second is
+    the first less its last point, split also along the first set's A
+    sides that fit, so two partitions with one A side and different
+    unions come up.  Each set also gets a one-point A and a one-point B
+    side."""
+    first = draw(_flag_points())
+    sets = [first, first[:-1]] if len(first) > 2 else [first]
+    sets += draw(st.lists(_flag_points(), min_size=2 - len(sets), max_size=3 - len(sets)))
+    a_sides = {}
+    for pts in sets:
+        sides = a_sides[tuple(pts)] = [pts[:1], pts[:1] + pts[2:]]
+        for _ in range(draw(st.integers(0, 3))):
+            on_a = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
+            on_a[0], on_a[draw(st.integers(1, len(pts) - 1))] = True, False
+            sides.append([q for q, x in zip(pts, on_a) if x])
+    if len(first) > 2:
+        a_sides[tuple(first[:-1])] += [
+            a for a in a_sides[tuple(first)] if first[-1] not in a and len(a) < len(first) - 1
+        ]
+    parts = [
+        Partition.of(a, [q for q in pts if q not in a], len(pts[0]))
+        for pts, sides in a_sides.items()
+        for a in sides
+    ]
+    return draw(st.permutations(parts))
 
 
 class TestSearchFlag:
@@ -672,3 +707,29 @@ def test_search_flag_collinear_separable():
 def test_tau_map_rejects_a_dependent_basis():
     with pytest.raises(LatsepError):
         conditions._tau_map((0, 0), [(1, 0), (2, 0)])
+
+
+class TestChartMemo:
+    """``search_flag`` takes its chart from the one-entry ``_chart``
+    memo, keyed by the sorted union of the two sides."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_interleaved_partitions())
+    def test_shared_chart_gives_the_fresh_answer(self, parts):
+        warm = [repr(search_flag(p)) for p in parts]
+        fresh = []
+        for p in parts:
+            conditions._chart.cache_clear()
+            fresh.append(repr(search_flag(p)))
+        assert warm == fresh
+
+    def test_hunt_builds_one_chart_per_set(self, monkeypatch):
+        s = PointSet.of(geometry.box_points((0, 0, 0), (2, 1, 1)))
+        charts, searches = [], []
+        hull, search = conditions.affine_hull_basis, explorer.search_flag
+        monkeypatch.setattr(conditions, "affine_hull_basis", lambda t: charts.append(t) or hull(t))
+        monkeypatch.setattr(explorer, "search_flag", lambda p: searches.append(p) or search(p))
+        conditions._chart.cache_clear()
+        explorer.hunt_over_set(s, explorer.HuntReport(seed=0, budget=0))
+        assert charts == [s]
+        assert len(searches) == len(explorer.parallelogram_masks(s, 3)) > 1

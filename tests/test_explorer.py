@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from latsep import explorer
 from latsep.conditions import check_parallelogram, search_flag
+from latsep.errors import InstanceFormatError
 from latsep.explorer import (
     HuntReport,
     Violation,
@@ -94,23 +96,24 @@ class TestEquivalence:
         assert len(resumed.violations) == len(fresh.violations)
         assert partial.sets_checked <= fresh.sets_checked
 
-    def test_checkpoint_of_other_settings_starts_afresh(self, tmp_path):
-        cp = str(tmp_path / "cp.json")
-        explorer.test_equivalence((2, 3), "any", "parallelogram-2", "flag", checkpoint=cp)
+    def test_checkpoint_of_other_settings_is_refused(self, tmp_path):
+        # the error names what the file holds, and the file is not touched
+        cp = tmp_path / "cp.json"
+        explorer.test_equivalence((2, 3), "any", "parallelogram-2", "flag", checkpoint=str(cp))
+        stored = cp.read_bytes()
+        held = 'dims=[2, 3], family="any", kind="equivalence", left="parallelogram-2", right="flag"'
         for run in (
+            ((2, 3), "any", "parallelogram-2", "ray"),
             ((2, 2), "hole-free", "ray", "flag"),
             ((2, 2), "hole-free", "ray", "parallelogram-2"),
             ((3, 2), "hole-free", "ray", "parallelogram-2"),
         ):
-            resumed = explorer.test_equivalence(*run, checkpoint=cp)
-            fresh = explorer.test_equivalence(*run)
-            assert (resumed.sets_checked, resumed.partitions_checked) == (
-                fresh.sets_checked,
-                fresh.partitions_checked,
-            )
-            assert [v.as_dict() for v in resumed.violations] == [
-                v.as_dict() for v in fresh.violations
-            ]
+            with pytest.raises(InstanceFormatError, match=re.escape(held)):
+                explorer.test_equivalence(*run, checkpoint=str(cp))
+            assert cp.read_bytes() == stored
+        with pytest.raises(InstanceFormatError, match=re.escape(held)):
+            conjecture_hunt(12, seed=1, checkpoint=str(cp))
+        assert cp.read_bytes() == stored
 
     def test_jobs_match_serial(self):
         serial = explorer.test_equivalence((2, 3), "hole-free", "parallelogram-2", "flag")
@@ -168,17 +171,20 @@ class TestConjectureHunt:
             fresh.partitions_checked,
         )
 
-    def test_checkpoint_of_other_settings_starts_afresh(self, tmp_path):
-        cp = str(tmp_path / "hunt.json")
-        conjecture_hunt(12, seed=1, box=2, checkpoint=cp)
-        for box, max_set_size in ((5, 4), (5, 12), (2, 4)):
-            resumed = conjecture_hunt(12, seed=1, box=box, max_set_size=max_set_size, checkpoint=cp)
-            fresh = conjecture_hunt(12, seed=1, box=box, max_set_size=max_set_size)
-            assert (resumed.samples, resumed.admitted_sets, resumed.partitions_checked) == (
-                fresh.samples,
-                fresh.admitted_sets,
-                fresh.partitions_checked,
-            )
+    def test_checkpoint_of_other_settings_is_refused(self, tmp_path):
+        cp = tmp_path / "hunt.json"
+        conjecture_hunt(12, seed=1, box=2, checkpoint=str(cp))
+        stored = cp.read_bytes()
+        held = 'box=2, kind="conjecture", max_set_size=12, seed=1'
+        for seed, box, max_set_size in ((1, 5, 4), (1, 5, 12), (1, 2, 4), (2, 2, 12)):
+            with pytest.raises(InstanceFormatError, match=re.escape(held)):
+                conjecture_hunt(
+                    12, seed=seed, box=box, max_set_size=max_set_size, checkpoint=str(cp)
+                )
+            assert cp.read_bytes() == stored
+        with pytest.raises(InstanceFormatError, match=re.escape(held)):
+            explorer.test_equivalence((2, 2), "any", "ray", "flag", checkpoint=str(cp))
+        assert cp.read_bytes() == stored
 
 
 def _brute_force_masks(s, k):
