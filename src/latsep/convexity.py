@@ -289,8 +289,8 @@ def _failing_vertex(cell, rows, members):
     Face by face (see the algorithm notes in docs/): each vertex of Q lies
     inside one proper face of the cell, where f facets tight at it fix its
     f free coordinates (``linalg.minor_adjugate``).  Off the corners it is
-    not integral, so it fails.  A face whose corners are all members is
-    skipped."""
+    not integral, so it fails.  Faces whose corners are all members, or
+    that conv(S) only touches, are skipped; only crossing rows are solved."""
     failing = []
     for pattern in product((None, 0, 1), repeat=len(cell)):
         free = [i for i, b in enumerate(pattern) if b is None]
@@ -305,7 +305,13 @@ def _failing_vertex(cell, rows, members):
         if not free:
             failing.append((lo, 1))  # a non-member corner inside conv(S)
             continue
-        for chosen in combinations(face, len(free)):
+        # A nonconstant m . y - b whose maximum over the face is 0 is below 0
+        # inside it: conv(S) only touches the face.  One whose minimum is 0
+        # is tight only on the face's boundary, so it is never solved.
+        if any(any(m) and sum(v for v in m if v > 0) == b for m, b in face):
+            continue
+        crossing = [(m, b) for m, b in face if sum(v for v in m if v < 0) < b]
+        for chosen in combinations(crossing, len(free)):
             found = linalg.minor_adjugate([m for m, _ in chosen])
             if found is None:
                 continue

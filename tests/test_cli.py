@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -446,6 +448,16 @@ class TestCommands:
         out = tmp_path / "fig.svg"
         assert main(["plot", inst, "--flag", flag, "-o", str(out)]) == 0
         assert "<line" in out.read_text()
+
+    def test_python_dash_m_runs_the_cli(self):
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "latsep", "check", "integrally-convex", "instances/ex4.4.json"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("holds")
 
 
 def test_parse_flag_file_fractions(tmp_path):

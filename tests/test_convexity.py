@@ -5,13 +5,15 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latsep import linalg
+from latsep import convexity, linalg
 from latsep.convexity import (
+    _face_rows,
     _hull_support,
     _segment_points,
     _simplex_points,
@@ -563,6 +565,115 @@ class TestFaceFirstCellSearch:
         assert repr(got) == f"Verdict(holds=False, witness=CellWitness({expected}))"
         assert sum(v.denominator != 1 for v in got.witness.vertex) == face_dim
         assert repr(got) == repr(_all_choices_integrally_convex(s))
+
+
+# The face search before the touching-face and crossing-row rules, kept
+# verbatim as the reference: it solves every choice of |J| kept rows on
+# every proper face that the range test and the member skip leave.
+
+def _seed_failing_vertex(cell, rows, members):
+    """The least vertex X / D of Q = conv(S) ∩ cell that fails the vertex
+    rule, as (X, D), or None; ``rows`` are the cell's own ``_face_rows``.
+
+    Face by face (see the algorithm notes in docs/): each vertex of Q lies
+    inside one proper face of the cell, where f facets tight at it fix its
+    f free coordinates (``linalg.minor_adjugate``).  Off the corners it is
+    not integral, so it fails.  A face whose corners are all members is
+    skipped."""
+    failing = []
+    for pattern in product((None, 0, 1), repeat=len(cell)):
+        free = [i for i, b in enumerate(pattern) if b is None]
+        corner = [b or 0 for b in pattern]
+        lo = tuple(c + o for c, o in zip(cell, corner))
+        hi = tuple(v + (b is None) for v, b in zip(lo, pattern))
+        if len(free) == len(cell) or all(z in members for z in box_points(lo, hi)):
+            continue
+        face = _face_rows(rows, corner, free)
+        if face is None:
+            continue
+        if not free:
+            failing.append((lo, 1))  # a non-member corner inside conv(S)
+            continue
+        for chosen in combinations(face, len(free)):
+            found = linalg.minor_adjugate([m for m, _ in chosen])
+            if found is None:
+                continue
+            _, det, adj = found
+            y = [sum(r[k] * b for r, (_, b) in zip(adj, chosen)) for k in range(len(free))]
+            if all(0 < v < det for v in y) and satisfies(y, det, face):
+                x = [v * det for v in lo]
+                for j, v in zip(free, y):
+                    x[j] += v
+                failing.append((tuple(x), det))
+    if not failing:
+        return None
+    scale = lcm(*(den for _, den in failing))
+    return min(failing, key=lambda v: tuple(c * (scale // v[1]) for c in v[0]))
+
+
+def _seed_integrally_convex(s: PointSet) -> Verdict:
+    """``is_integrally_convex`` on the reference face search."""
+    with mock.patch.object(convexity, "_failing_vertex", _seed_failing_vertex):
+        return is_integrally_convex(s)
+
+
+def _solves(decide, s: PointSet) -> int:
+    """The ``minor_adjugate`` calls that ``decide(s)`` makes beyond those
+    of ``integer_facets``, i.e. the face search's solves."""
+    with mock.patch.object(linalg, "minor_adjugate", wraps=linalg.minor_adjugate) as spy:
+        decide(s)
+        total = spy.call_count
+        spy.reset_mock()
+        integer_facets(s.points)
+        return total - spy.call_count
+
+
+@st.composite
+def _tesseract_subset(draw):
+    """1 to 10 points of [0, 2]^4."""
+    coord = st.integers(0, 2)
+    return PointSet.of(draw(st.sets(st.tuples(*[coord] * 4), min_size=1, max_size=10)))
+
+
+class TestCrossingFaces:
+    """The face search that skips faces conv(S) only touches and solves
+    only rows that cross the face, against the search before both rules
+    and the LP oracle."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_box_subset(), _tesseract_subset()))
+    def test_matches_reference(self, s):
+        assert repr(is_integrally_convex(s)) == repr(_seed_integrally_convex(s))
+
+    def test_solves_fall_on_a_fixed_set(self):
+        s = PointSet.of([p for p in product(range(3), repeat=3) if sum(p) <= 4])
+        assert is_integrally_convex(s).holds
+        assert _solves(_seed_integrally_convex, s) == 120
+        assert _solves(is_integrally_convex, s) == 0
+
+    def test_face_touched_only_on_its_boundary(self):
+        """The top edge of the unit triangle's cell meets conv(S) at the
+        corner (0, 1) alone: there the facet x + y <= 1 reads -y0 >= 0,
+        whose maximum over the edge is 0 and which fails inside it."""
+        s = PointSet.of([(0, 0), (1, 0), (0, 1)])
+        rows = _face_rows(integer_facets(s.points), (0, 0), range(2))
+        assert _face_rows(rows, [0, 1], [0]) == [([-1], 0), ([1], 0)]
+        assert is_integrally_convex(s) == oracle_integrally_convex_lp(s) == Verdict(True)
+        assert repr(is_integrally_convex(s)) == repr(_seed_integrally_convex(s))
+        assert (_solves(_seed_integrally_convex, s), _solves(is_integrally_convex, s)) == (4, 0)
+
+    def test_row_with_minimum_zero_on_the_face(self):
+        """On the top edge of cell (0, -1) the facet x >= 0 reads y0 >= 0,
+        whose minimum over the edge is 0 at its left end, so it is never
+        solved; the crossing row -2 y0 >= -1 gives the witness (1/2, 0)."""
+        s = PointSet.of([(0, -1), (0, 0), (0, 1), (1, 1)])
+        rows = _face_rows(integer_facets(s.points), (0, -1), range(2))
+        assert _face_rows(rows, [0, 1], [0]) == [([-2], -1), ([1], 0)]
+        got = is_integrally_convex(s)
+        assert got == oracle_integrally_convex_lp(s)
+        assert got.witness == CellWitness((0, -1), (Fraction(1, 2), Fraction(0)))
+        assert repr(got) == repr(_seed_integrally_convex(s))
+        assert (_solves(_seed_integrally_convex, s), _solves(is_integrally_convex, s)) == (4, 1)
 
 
 class TestFaceProperties:
