@@ -20,7 +20,8 @@ induction every level vanishes there, so all those points fall to the
 one residual owner; but they include points of both sides, so no flag
 exists.  If the hulls are disjoint, a Farkas vector gives one
 functional that is strict on every point: a flag of one level.  The LP
-asks for the weights alpha and beta, and its feasible point is the
+asks for the weights alpha and beta, on coordinates that the affine
+hull of A and B projects onto one to one, and its feasible point is the
 no-flag certificate.
 """
 
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from operator import mul
 
 from . import linalg
 from .errors import DimensionMismatchError, InvalidFlagError, LatsepError
@@ -323,18 +325,25 @@ def _flats_of(flag: SeparatingFlag):
 
 def verify_flag(p: Partition, flag: SeparatingFlag) -> bool:
     """Check a flag against a partition: every point must classify to its
-    own side, or to the residual owner when all levels vanish on it."""
+    own side, or to the residual owner when all levels vanish on it.
+
+    Each side is checked one level at a time: the first level that is
+    nonzero on a point must have the side's sign there, and only the
+    points on which it vanishes go on to the next level."""
     if flag.dim != p.dim:
         raise DimensionMismatchError("flag/partition dimension mismatch")
-    _flats_of(flag)  # structural validation
-    for own, pts in ((OWNER_A, p.a.points), (OWNER_B, p.b.points)):
-        for q in pts:
-            got = flag.classify(q)
-            if got == "residual":
-                if flag.residual_owner != own:
-                    return False
-            elif got != own:
+    _flats_of(flag)  # structural validation, and each level's dimension
+    for own, sign, pts in ((OWNER_A, 1, p.a.points), (OWNER_B, -1, p.b.points)):
+        for g in flag.functionals:
+            if not pts:
+                break
+            normal, offset = g.normal, g.offset
+            values = [sign * (sum(map(mul, normal, q)) - offset) for q in pts]
+            if min(values) < 0:
                 return False
+            pts = [q for q, v in zip(pts, values) if not v]
+        if pts and flag.residual_owner != own:
+            return False
     return True
 
 
@@ -342,30 +351,6 @@ def lex_flag_to_subspace_chain(flag: SeparatingFlag):
     """The flag's nested subspace chain, smallest flat first, as
     (anchor, basis) pairs ending with the ambient space."""
     return list(reversed(_flats_of(flag)))
-
-
-def _tau_map(anchor, basis):
-    """Integer matrix M with tau(x) = M (x - anchor) giving coordinates of
-    x in the affine hull spanned by ``basis``, scaled to clear
-    denominators: M = adj(G) V / g for the Gram matrix G = V V^T, with g
-    the gcd of det(G) and the entries of adj(G) V."""
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
-    found = linalg.minor_adjugate(gram)
-    if found is None:
-        raise LatsepError("singular Gram matrix: the flat's basis is dependent")
-    _, det, adj = found
-    basis_cols = list(zip(*basis))
-    rows = [[sum(a * v for a, v in zip(u, col)) for col in basis_cols] for u in zip(*adj)]
-    g = gcd(det, *(v for row in rows for v in row))
-    return [[v // g for v in row] for row in rows]
-
-
-def _tau_to_ambient(p_vec, q_val, dmap, anchor) -> AffineFunctional:
-    """The functional x -> p . tau(x) - q for integer p, q, made
-    primitive by ``AffineFunctional.of``."""
-    normal = [sum(p * row[j] for p, row in zip(p_vec, dmap)) for j in range(len(anchor))]
-    offset = q_val + sum(n * a for n, a in zip(normal, anchor))
-    return AffineFunctional.of(normal, offset)
 
 
 def _common_point(x, a_pts, b_pts) -> CommonPoint:
@@ -384,50 +369,50 @@ def _common_point(x, a_pts, b_pts) -> CommonPoint:
 
 
 @lru_cache(maxsize=1)
-def _chart(dim: int, live: tuple) -> tuple:
-    """The anchor and ``_tau_map`` of the affine hull of the sorted points
-    ``live``, and tau of each point: the same for every split, read only."""
-    anchor, basis = affine_hull_basis(PointSet(dim, live))
-    dmap = _tau_map(anchor, basis)
-    tau = {
-        q: tuple(sum(m * (x - a) for m, x, a in zip(row, q, anchor)) for row in dmap)
-        for q in live
-    }
-    return anchor, dmap, tau
+def _chart(dim: int, live: tuple) -> tuple[int, ...]:
+    """The coordinates that the affine hull of the sorted points ``live``
+    projects onto one to one: the pivot columns of its basis, the same
+    for every split."""
+    _, basis = affine_hull_basis(PointSet(dim, live))
+    return tuple(linalg.minor_adjugate(basis)[0])
 
 
 def search_flag(p: Partition) -> Verdict:
     """Complete decision procedure for flag separation of finite sets.
 
-    One LP, in the integer coordinates tau of the affine hull of A and
-    B, asks for convex weights on each side with the same barycenter.
-    If it is feasible, the witness is that point of both hulls, a
-    ``CommonPoint``; otherwise its Farkas vector gives a functional
-    strict on every point, and the witness is that one-level flag.  All
-    arithmetic is on integers, and both witnesses are checked before
-    they are returned.  The chart comes from ``_chart``, which keeps
-    the last union's, so the bipartitions of one set share one chart.
+    One LP, on the coordinates ``_chart`` picks, on which the affine
+    hull of A and B projects one to one, asks for convex weights on each
+    side with the same barycenter.  If it is feasible, the witness is
+    that point of both hulls, a ``CommonPoint``; otherwise its Farkas
+    vector gives a functional strict on every point, and the witness is
+    that one-level flag.  All arithmetic is on integers, and both
+    witnesses are checked before they are returned.  ``_chart`` keeps
+    the last union's coordinates, so the bipartitions of one set share
+    them.
     """
     a_sorted = sorted(p.a.points)
     b_sorted = sorted(p.b.points)
-    anchor, dmap, tau = _chart(p.dim, tuple(sorted(a_sorted + b_sorted)))
-    r = len(dmap)
+    cols = _chart(p.dim, tuple(sorted(a_sorted + b_sorted)))
+    r = len(cols)
     n_a = len(a_sorted)
-    rows = [[tau[q][i] for q in a_sorted] + [-tau[q][i] for q in b_sorted] for i in range(r)]
+    rows = [[q[j] for q in a_sorted] + [-q[j] for q in b_sorted] for j in cols]
     rows.append([1] * n_a + [0] * len(b_sorted))
     rows.append([0] * n_a + [1] * len(b_sorted))
     system = EqualityFeasibility(rows, [0] * r + [1, 1])
     if system.feasible:
         return Verdict(False, _common_point(system.feasible_point()[0], a_sorted, b_sorted))
 
-    # The hulls are disjoint: the Farkas vector y yields tau -> p . tau - c
+    # The hulls are disjoint: the Farkas vector y yields x -> p . x[cols] - c
     # with a uniform gap, strict at every point.
     y, _ = system.farkas_duals()
     p_vec, c = [-2 * v for v in y[:r]], y[r] - y[r + 1]
-    pt = [0] * len(tau)  # p . tau per column, negated on B's as in the rows
+    pt = [0] * len(rows[0])  # p . x[cols] per column, negated on B's as in the rows
     for u, row in zip(p_vec, rows):
         pt = [s + u * t for s, t in zip(pt, row)]
     if any(s <= c for s in pt[:n_a]) or any(s <= -c for s in pt[n_a:]):
         raise LatsepError("the Farkas functional does not separate the sides strictly")
-    g = _tau_to_ambient(p_vec, c, dmap, anchor)
+    normal = [0] * p.dim
+    for j, u in zip(cols, p_vec):
+        normal[j] = u
+    g = AffineFunctional.of(normal, c)
     return Verdict(True, SeparatingFlag(p.dim, (g,), OWNER_EMPTY))

@@ -1,7 +1,9 @@
 """The Fraction linear algebra, simplex tableau and flag search that the
 library's integer kernels, integer tableau and integer ``search_flag``
 replaced, kept verbatim as differential references.  They use the
-library's data types only.
+library's data types only.  The flag search poses its LPs on the
+coordinates the library's ``search_flag`` uses, the pivot columns of
+the affine hull's basis, so that the two give the same flags.
 
 Kept apart from ``oracles.py``, which the benchmark's checks import (and
 compile, where bytecode is not cached): this code is needed by the tests
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from latsep.conditions import OWNER_A, OWNER_B, OWNER_EMPTY, Partition, SeparatingFlag
 from latsep.errors import DimensionMismatchError, LatsepError
@@ -348,29 +349,12 @@ def affine_hull_basis(s: PointSet) -> tuple[IntPoint, list[tuple[int, ...]]]:
     return anchor, independent_subset(diffs)
 
 
-def _tau_map(anchor, basis):
-    """Integer matrix D with tau(x) = D (x - anchor) giving coordinates
-    of x in the affine hull spanned by ``basis`` (scaled to clear
-    denominators)."""
-    r = len(basis)
-    gram = [[sum(a * b for a, b in zip(basis[i], basis[k])) for k in range(r)] for i in range(r)]
-    vt_cols = [[Fraction(basis[i][j]) for i in range(r)] for j in range(len(anchor))]
-    m_cols = solve_square([[Fraction(v) for v in row] for row in gram], vt_cols)
-    if m_cols is None:
-        raise LatsepError("singular Gram matrix: the flat's basis is dependent")
-    lcm = 1
-    for col in m_cols:
-        for v in col:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    # rows of the scaled map
-    return [[int(m_cols[j][i] * lcm) for j in range(len(anchor))] for i in range(r)]
-
-
-def _tau_to_ambient(p_vec, q_val, dmap, anchor) -> AffineFunctional:
-    d = len(anchor)
-    normal = [sum(Fraction(p_vec[i]) * dmap[i][j] for i in range(len(p_vec))) for j in range(d)]
-    offset = Fraction(q_val) + sum(n * a for n, a in zip(normal, anchor))
-    return AffineFunctional.of(normal, offset)
+def _to_ambient(p_vec, q_val, cols, d) -> AffineFunctional:
+    """The functional x -> p . x[cols] - q, zero off ``cols``."""
+    normal = [Fraction(0)] * d
+    for j, v in zip(cols, p_vec):
+        normal[j] = Fraction(v)
+    return AffineFunctional.of(normal, Fraction(q_val))
 
 
 def search_flag(p: Partition) -> Verdict:
@@ -396,15 +380,10 @@ def search_flag(p: Partition) -> Verdict:
         live = sorted(a_live + b_live)
         hull = PointSet.of(live, p.dim)
         anchor, basis = affine_hull_basis(hull)
-        r = len(basis)
-        dmap = _tau_map(anchor, basis)
-        tau = {
-            q: tuple(
-                sum(dmap[i][j] * (q[j] - anchor[j]) for j in range(p.dim))
-                for i in range(r)
-            )
-            for q in live
-        }
+        # coordinates that aff(live) projects onto one to one
+        coords = rref(frac_rows(basis))[1]
+        r = len(coords)
+        tau = {q: tuple(q[j] for j in coords) for q in live}
         a_sorted = sorted(a_live)
         b_sorted = sorted(b_live)
         cols = a_sorted + b_sorted
@@ -426,7 +405,7 @@ def search_flag(p: Partition) -> Verdict:
             y = system.farkas_duals()
             p_vec = [-y[i] for i in range(r)]
             q_val = (y[r] - y[r + 1]) / 2
-            g = _tau_to_ambient(p_vec, q_val, dmap, anchor)
+            g = _to_ambient(p_vec, q_val, coords, p.dim)
             funcs.append(g)
             a_live, b_live = [], []
             continue
@@ -464,6 +443,6 @@ def search_flag(p: Partition) -> Verdict:
 
         if len(in_e) == len(live):
             return Verdict(False, BlockingFlat(anchor, tuple(basis)))
-        funcs.append(_tau_to_ambient(p_acc, q_acc, dmap, anchor))
+        funcs.append(_to_ambient(p_acc, q_acc, coords, p.dim))
         a_live = [q for q in a_sorted if q in in_e]
         b_live = [q for q in b_sorted if q in in_e]

@@ -31,7 +31,13 @@ from latsep.geometry import (
     point_codes,
 )
 from latsep.verdicts import CommonPoint, ParallelogramWitness, RayViolation, Verdict
+from fraction_oracles import frac_rows, rref
 from oracles import is_common_point, oracle_flag_separable
+from test_geometry import rank_sets
+
+
+def _fraction_rank(vectors) -> int:
+    return len(rref(frac_rows(vectors))[1])
 
 
 def _p44():
@@ -487,6 +493,70 @@ class TestVerifyFlag:
         with pytest.raises(DimensionMismatchError):
             verify_flag(_p44(), flag)
 
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_level_by_level_matches_classifying_each_point(self, data):
+        p, flag = data.draw(_flagged_partitions())
+        assert _outcome(verify_flag, p, flag) == _outcome(_classifying_verify_flag, p, flag)
+
+
+def _classifying_verify_flag(p: Partition, flag: SeparatingFlag) -> bool:
+    """``verify_flag`` as it was before it went level by level, kept
+    verbatim as its reference."""
+    if flag.dim != p.dim:
+        raise DimensionMismatchError("flag/partition dimension mismatch")
+    conditions._flats_of(flag)  # structural validation
+    for own, pts in ((conditions.OWNER_A, p.a.points), (conditions.OWNER_B, p.b.points)):
+        for q in pts:
+            got = flag.classify(q)
+            if got == "residual":
+                if flag.residual_owner != own:
+                    return False
+            elif got != own:
+                return False
+    return True
+
+
+def _outcome(check, p, flag):
+    """The answer of ``check(p, flag)``, or the type of what it raised."""
+    try:
+        return check(p, flag)
+    except LatsepError as exc:
+        return type(exc)
+
+
+@st.composite
+def _flagged_partitions(draw):
+    """A flag of up to d levels in Z^1-Z^4, with any residual owner, and a
+    partition of 2-8 points of a small box.  Each point goes to the side
+    the flag gives it (a point where every level vanishes to the residual
+    owner, or to a drawn side for "empty"); then up to two drawn points
+    switch sides.  Small coefficients put many points on the zero sets,
+    so later levels and the residual owner decide often."""
+    d = draw(st.integers(1, 4))
+    coef = st.integers(-1, 1)
+    levels = draw(
+        st.lists(
+            st.tuples(st.lists(coef, min_size=d, max_size=d), coef), min_size=1, max_size=d
+        )
+    )
+    owner = draw(st.sampled_from(["A", "B", "empty"]))
+    flag = SeparatingFlag(d, tuple(AffineFunctional.of(n, c) for n, c in levels), owner)
+    box = st.tuples(*[st.integers(-2, 2)] * d)
+    pts = draw(st.lists(box, min_size=2, max_size=8, unique=True))
+    on_a = []
+    for q in pts:
+        side = flag.classify(q)
+        if side == "residual":
+            side = owner if owner != "empty" else draw(st.sampled_from(["A", "B"]))
+        on_a.append(side == "A")
+    for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=2)):
+        on_a[i] = not on_a[i]
+    if all(on_a) or not any(on_a):
+        on_a[0] = not on_a[0]
+    a = [q for q, x in zip(pts, on_a) if x]
+    return Partition.of(a, [q for q, x in zip(pts, on_a) if not x], d), flag
+
 
 @st.composite
 def _flag_points(draw):
@@ -704,9 +774,31 @@ def test_search_flag_collinear_separable():
     assert v.holds and len(v.witness.functionals) == 1
 
 
-def test_tau_map_rejects_a_dependent_basis():
-    with pytest.raises(LatsepError):
-        conditions._tau_map((0, 0), [(1, 0), (2, 0)])
+class TestChart:
+    """``_chart`` picks the coordinates that ``search_flag`` poses its LP
+    on: the pivot columns of the union's affine hull basis."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rank_sets().filter(lambda s: len(s) > 1))
+    def test_pivot_columns_project_the_hull_one_to_one(self, s):
+        cols = conditions._chart(s.dim, s.points)
+        diffs = [tuple(x - y for x, y in zip(q, s.points[0])) for q in s.points[1:]]
+        rank = _fraction_rank(diffs)
+        assert len(cols) == rank
+        # the projected differences keep the rank, so the projection is
+        # one to one on the whole affine hull, not only on the points
+        assert _fraction_rank([tuple(v[j] for j in cols) for v in diffs]) == rank
+        assert len({tuple(q[j] for j in cols) for q in s.points}) == len(s)
+
+    def test_a_projection_that_is_not_one_to_one_is_refused(self, monkeypatch):
+        # on the second coordinate B's point lies between A's, so the LP
+        # is feasible there; in Z^2 the hulls are disjoint, so no feasible
+        # point balances the two sides
+        p = Partition.of([(0, 0), (0, 2)], [(1, 1)])
+        assert search_flag(p).holds
+        monkeypatch.setattr(conditions, "_chart", lambda dim, live: (1,))
+        with pytest.raises(LatsepError):
+            search_flag(p)
 
 
 class TestChartMemo:
