@@ -12,17 +12,20 @@
   whose first nonzero sign classifies each point.
 
 ``search_flag`` decides flag separation of finite sets with one LP,
-because a flag exists exactly when conv(A) and conv(B) are disjoint.
-If the hulls meet at c = sum alpha_a a = sum beta_b b, with convex
-weights alpha and beta, every flag level g is >= 0 on A and <= 0 on B,
-so g(c) = 0 and g vanishes on the support of both combinations.  By
-induction every level vanishes there, so all those points fall to the
-one residual owner; but they include points of both sides, so no flag
-exists.  If the hulls are disjoint, a Farkas vector gives one
-functional that is strict on every point: a flag of one level.  The LP
-asks for the weights alpha and beta, on coordinates that the affine
-hull of A and B projects onto one to one, and its feasible point is the
-no-flag certificate.
+sifted when it is wide, because a flag exists exactly when conv(A) and
+conv(B) are disjoint.  If the hulls meet at c = sum alpha_a a =
+sum beta_b b, with convex weights alpha and beta, every flag level g is
+>= 0 on A and <= 0 on B, so g(c) = 0 and g vanishes on the support of
+both combinations.  By induction every level vanishes there, so all
+those points fall to the one residual owner; but they include points of
+both sides, so no flag exists.  If the hulls are disjoint, a Farkas
+vector gives one functional that is strict on every point: a flag of
+one level.  The LP asks for the weights alpha and beta, on coordinates
+that the affine hull of A and B projects onto one to one, and its
+feasible point is the no-flag certificate.  An LP with many more
+columns (points) than rows is solved on a working set of points that
+grows until the Farkas functional of the working set is strict on every
+point, or until the working set's LP is feasible.
 """
 
 from __future__ import annotations
@@ -368,6 +371,16 @@ def _common_point(x, a_pts, b_pts) -> CommonPoint:
     return w
 
 
+# Flag search's LP has r + 2 rows for a chart of r coordinates and one
+# column per point; at most r + 2 columns are basic at the end, yet every
+# pivot touches all of them.  Above this many columns per row the LP is
+# sifted, solved on a few points at a time.  Sifting a search whose hulls
+# meet pays from about 3 columns per row, one that finds a flag from
+# about 12 (see the algorithm notes in docs/); the hunts' LPs are flags,
+# so the rule sits at the flag break-even.
+_SIFT_COLUMNS_PER_ROW = 12
+
+
 @lru_cache(maxsize=1)
 def _chart(dim: int, live: tuple) -> tuple[int, ...]:
     """The coordinates that the affine hull of the sorted points ``live``
@@ -377,40 +390,71 @@ def _chart(dim: int, live: tuple) -> tuple[int, ...]:
     return tuple(linalg.minor_adjugate(basis)[0])
 
 
+def _extremes(rows, n_a) -> set[int]:
+    """For each row, the first of A's columns and the first of B's (those
+    from n_a on) at which it takes its least and its greatest value."""
+    found = set()
+    for row in rows:
+        for start, part in ((0, row[:n_a]), (n_a, row[n_a:])):
+            found.update((start + part.index(min(part)), start + part.index(max(part))))
+    return found
+
+
 def search_flag(p: Partition) -> Verdict:
     """Complete decision procedure for flag separation of finite sets.
 
-    One LP, on the coordinates ``_chart`` picks, on which the affine
-    hull of A and B projects one to one, asks for convex weights on each
-    side with the same barycenter.  If it is feasible, the witness is
-    that point of both hulls, a ``CommonPoint``; otherwise its Farkas
-    vector gives a functional strict on every point, and the witness is
-    that one-level flag.  All arithmetic is on integers, and both
-    witnesses are checked before they are returned.  ``_chart`` keeps
-    the last union's coordinates, so the bipartitions of one set share
-    them.
+    An LP on the coordinates ``_chart`` picks, on which the affine hull
+    of A and B projects one to one, asks for convex weights on each side
+    with the same barycenter.  If it is feasible, the witness is that
+    point of both hulls, a ``CommonPoint``; otherwise its Farkas vector
+    gives a functional strict on every point, and the witness is that
+    one-level flag.  An LP of more than ``_SIFT_COLUMNS_PER_ROW``
+    columns per row is sifted: it is solved on a working set of points,
+    at first each side's extreme points in each coordinate; then every
+    point is priced with the Farkas functional, the points it does not
+    separate strictly join the working set, and the LP is solved again.
+    A narrower LP is one round on every point.  All arithmetic is on
+    integers, and both witnesses are checked before they are returned.
+    ``_chart`` keeps the last union's coordinates, so the bipartitions
+    of one set share them.
     """
     a_sorted = sorted(p.a.points)
     b_sorted = sorted(p.b.points)
-    cols = _chart(p.dim, tuple(sorted(a_sorted + b_sorted)))
+    pts = a_sorted + b_sorted
+    cols = _chart(p.dim, tuple(sorted(pts)))
     r = len(cols)
     n_a = len(a_sorted)
-    rows = [[q[j] for q in a_sorted] + [-q[j] for q in b_sorted] for j in cols]
-    rows.append([1] * n_a + [0] * len(b_sorted))
-    rows.append([0] * n_a + [1] * len(b_sorted))
-    system = EqualityFeasibility(rows, [0] * r + [1, 1])
-    if system.feasible:
-        return Verdict(False, _common_point(system.feasible_point()[0], a_sorted, b_sorted))
+    full = [[q[j] for q in a_sorted] + [-q[j] for q in b_sorted] for j in cols]
+    if len(pts) <= _SIFT_COLUMNS_PER_ROW * (r + 2):
+        work = range(len(pts))
+    else:
+        work = sorted(_extremes(full, n_a))
+    full.append([1] * n_a + [0] * len(b_sorted))
+    full.append([0] * n_a + [1] * len(b_sorted))
+    while True:
+        rows = full if len(work) == len(pts) else [[row[i] for i in work] for row in full]
+        system = EqualityFeasibility(rows, [0] * r + [1, 1])
+        if system.feasible:
+            # zero weight on the points left out: a point of both hulls
+            x = system.feasible_point()[0]
+            a_pts = [pts[i] for i in work if i < n_a]
+            return Verdict(False, _common_point(x, a_pts, [pts[i] for i in work if i >= n_a]))
 
-    # The hulls are disjoint: the Farkas vector y yields x -> p . x[cols] - c
-    # with a uniform gap, strict at every point.
-    y, _ = system.farkas_duals()
-    p_vec, c = [-2 * v for v in y[:r]], y[r] - y[r + 1]
-    pt = [0] * len(rows[0])  # p . x[cols] per column, negated on B's as in the rows
-    for u, row in zip(p_vec, rows):
-        pt = [s + u * t for s, t in zip(pt, row)]
-    if any(s <= c for s in pt[:n_a]) or any(s <= -c for s in pt[n_a:]):
-        raise LatsepError("the Farkas functional does not separate the sides strictly")
+        # The working points' hulls are disjoint: the Farkas vector y
+        # yields x -> p . x[cols] - c, strict at every working point, since
+        # y . A_j <= 0 there.  Price every point with it.
+        y, _ = system.farkas_duals()
+        p_vec, c = [-2 * v for v in y[:r]], y[r] - y[r + 1]
+        pt = [0] * len(pts)  # p . x[cols] per column, negated on B's as in the rows
+        for u, row in zip(p_vec, full):
+            pt = [s + u * t for s, t in zip(pt, row)]
+        missed = [i for i, s in enumerate(pt[:n_a]) if s <= c]
+        missed += [i for i, s in enumerate(pt[n_a:], n_a) if s <= -c]
+        if not missed:
+            break
+        if not set(work).isdisjoint(missed):
+            raise LatsepError("the Farkas functional does not separate the working points strictly")
+        work = sorted({*work, *missed})
     normal = [0] * p.dim
     for j, u in zip(cols, p_vec):
         normal[j] = u

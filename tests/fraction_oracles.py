@@ -3,7 +3,10 @@ library's integer kernels, integer tableau and integer ``search_flag``
 replaced, kept verbatim as differential references.  They use the
 library's data types only.  The flag search poses its LPs on the
 coordinates the library's ``search_flag`` uses, the pivot columns of
-the affine hull's basis, so that the two give the same flags.
+the affine hull's basis, so that the two give the same flags as long
+as the library's LP is not sifted, that is, at most
+``conditions._SIFT_COLUMNS_PER_ROW`` points per LP row.  A sifted LP
+is solved on fewer points, and its flag can differ.
 
 Kept apart from ``oracles.py``, which the benchmark's checks import (and
 compile, where bytecode is not cached): this code is needed by the tests

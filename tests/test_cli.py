@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from latsep import cli
+from latsep import catalog, cli
 from latsep.cli import MAX_PAR_K, main, parse_flag_file, parse_instance
 from latsep.conditions import Partition
 from latsep.errors import InstanceFormatError
@@ -103,15 +103,49 @@ class TestExitCodes:
         ]
 
     def test_separate_flag_round_trips(self, tmp_path, capsys):
+        # a narrow LP, and the 289-point sqrt(2) window, whose LP is sifted
+        window = catalog.sqrt2_halfplane_window(8)
+        for name, obj in (
+            ("gap", {"dim": 2, "A": [[1, 0], [2, 3]], "B": [[0, 0], [-1, 1]]}),
+            ("window", {"dim": 2, "A": window.a.points, "B": window.b.points}),
+        ):
+            inst = _write(tmp_path, f"{name}.json", obj)
+            assert main(["separate", inst]) == 0
+            out = capsys.readouterr().out
+            flag_json = out.split("flag json:\n", 1)[1].strip()
+            flag_path = tmp_path / f"{name}-flag.json"
+            flag_path.write_text(flag_json)
+            assert main(["verify-flag", inst, "--flag", str(flag_path)]) == 0
+
+    def test_separate_wide_failure_prints_a_balanced_common_point(self, tmp_path, capsys):
+        # a 12 x 12 checkerboard: the hulls meet, and the LP is sifted
+        board = [(x, y) for x in range(12) for y in range(12)]
         inst = _write(
-            tmp_path, "gap.json", {"dim": 2, "A": [[1, 0], [2, 3]], "B": [[0, 0], [-1, 1]]}
+            tmp_path,
+            "board.json",
+            {
+                "dim": 2,
+                "A": [q for q in board if sum(q) % 2 == 0],
+                "B": [q for q in board if sum(q) % 2 == 1],
+            },
         )
-        assert main(["separate", inst]) == 0
-        out = capsys.readouterr().out
-        flag_json = out.split("flag json:\n", 1)[1].strip()
-        flag_path = tmp_path / "flag.json"
-        flag_path.write_text(flag_json)
-        assert main(["verify-flag", inst, "--flag", str(flag_path)]) == 0
+        assert main(["separate", inst]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "no separating flag exists"
+        weight = int(out[1].split("weights total ")[1].split()[0])
+
+        def point(text):
+            return tuple(json.loads(text.replace("(", "[").replace(")", "]")))
+
+        sums = []
+        for line, side in zip(out[2:], ("A", "B")):
+            terms, total = line.removeprefix(f"  {side}: ").split(" = ")
+            pairs = [(int(c), point(q)) for c, q in (t.split("*") for t in terms.split(" + "))]
+            assert all(q in board and sum(q) % 2 == "AB".index(side) for _, q in pairs)
+            assert sum(c for c, _ in pairs) == weight
+            assert point(total) == tuple(sum(c * q[i] for c, q in pairs) for i in range(2))
+            sums.append(point(total))
+        assert len(out) == 4 and sums[0] == sums[1]
 
     def test_verify_flag_rejects_wrong_side(self, tmp_path):
         inst = _write(

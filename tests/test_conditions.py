@@ -3,14 +3,15 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
 from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latsep import conditions, explorer, geometry, linalg
+from latsep import catalog, conditions, explorer, geometry, linalg
 from latsep.conditions import (
     Partition,
     SeparatingFlag,
@@ -31,6 +32,7 @@ from latsep.geometry import (
     point_codes,
 )
 from latsep.verdicts import CommonPoint, ParallelogramWitness, RayViolation, Verdict
+import fraction_oracles
 from fraction_oracles import frac_rows, rref
 from oracles import is_common_point, oracle_flag_separable
 from test_geometry import rank_sets
@@ -618,6 +620,49 @@ def _interleaved_partitions(draw):
     return draw(st.permutations(parts))
 
 
+@st.composite
+def _wide_partitions(draw):
+    """The 20-150 points of a box in Z^2 or Z^3, shifted, split by a drawn
+    integer hyperplane (the hulls are disjoint) or at random (the hulls
+    nearly always meet)."""
+    d = draw(st.integers(2, 3))
+    sides = draw(
+        st.lists(st.integers(2, 12), min_size=d, max_size=d).filter(
+            lambda s: 20 <= prod(s) <= 150
+        )
+    )
+    shift = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+    pts = [tuple(map(sum, zip(q, shift))) for q in product(*map(range, sides))]
+    if draw(st.booleans()):
+        normal = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any))
+        values = [sum(map(mul, normal, q)) for q in pts]
+        cut = draw(st.integers(min(values), max(values) - 1))
+        on_a = [v > cut for v in values]
+    else:
+        on_a = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
+        on_a[0], on_a[-1] = True, False
+    return Partition.of(
+        [q for q, x in zip(pts, on_a) if x], [q for q, x in zip(pts, on_a) if not x]
+    )
+
+
+def _assert_certificate(p, v):
+    """A common point of the two hulls, or a flag of one level that is
+    strict on every point, checked by integer sums."""
+    if not v.holds:
+        assert isinstance(v.witness, CommonPoint)
+        assert is_common_point(p.a.points, p.b.points, v.witness)
+        return
+    (g,) = v.witness.functionals
+    assert v.witness.residual_owner == "empty"
+
+    def value(q):
+        return sum(n * x for n, x in zip(g.normal, q)) - g.offset
+
+    assert all(value(q) > 0 for q in p.a.points)
+    assert all(value(q) < 0 for q in p.b.points)
+
+
 class TestSearchFlag:
     def test_counterexample_partitions_fail(self):
         assert not search_flag(_p44()).holds
@@ -648,36 +693,68 @@ class TestSearchFlag:
     def test_one_lp_matches_the_oracle(self, p):
         v = search_flag(p)
         assert v.holds == oracle_flag_separable(p.a.points, p.b.points)
-        if not v.holds:
-            assert isinstance(v.witness, CommonPoint)
-            assert is_common_point(p.a.points, p.b.points, v.witness)
-            return
-        # one level, strict on every point, by integer sums
-        (g,) = v.witness.functionals
-        assert v.witness.residual_owner == "empty"
+        _assert_certificate(p, v)
 
-        def value(q):
-            return sum(n * x for n, x in zip(g.normal, q)) - g.offset
+    def test_wide_partitions_are_sifted_to_checked_certificates(self, monkeypatch):
+        lps = []
 
-        assert all(value(q) > 0 for q in p.a.points)
-        assert all(value(q) < 0 for q in p.b.points)
+        class Spy(conditions.EqualityFeasibility):
+            def __init__(self, rows, b):
+                lps.append(len(rows[0]))
+                super().__init__(rows, b)
+
+        rounds = []
+
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(_wide_partitions())
+        def check(p):
+            n = len(p.a) + len(p.b)
+            with monkeypatch.context() as m:
+                m.setattr(conditions, "_SIFT_COLUMNS_PER_ROW", n)
+                whole = search_flag(p)  # one LP on every point
+            with monkeypatch.context() as m:
+                m.setattr(conditions, "EqualityFeasibility", Spy)
+                lps.clear()
+                v = search_flag(p)
+            assert v.holds == whole.holds
+            _assert_certificate(p, v)
+            if n <= 40:
+                assert v.holds == fraction_oracles.search_flag(p).holds
+            if n <= conditions._SIFT_COLUMNS_PER_ROW * (p.dim + 2):
+                assert lps == [n]
+            else:
+                # each side's extreme points in each coordinate, then more
+                assert lps[0] <= 4 * p.dim and lps == sorted(set(lps))
+                rounds.append(len(lps))
+
+        check()
+        assert rounds and max(rounds) > 1
 
     def test_self_checks_reject_a_wrong_lp_answer(self, monkeypatch):
-        class Skewed(conditions.EqualityFeasibility):
-            """The LP with one more unit of weight on the first A point,
-            and with its Farkas vector negated."""
+        class Heavier(conditions.EqualityFeasibility):
+            """The LP with one more unit of weight on the first A point."""
 
             def feasible_point(self):
                 x, den = super().feasible_point()
                 return [x[0] + den, *x[1:]], den
 
+        class Negated(conditions.EqualityFeasibility):
+            """The LP with its Farkas vector negated."""
+
             def farkas_duals(self):
                 y, den = super().farkas_duals()
                 return [-v for v in y], den
 
-        monkeypatch.setattr(conditions, "EqualityFeasibility", Skewed)
-        for p in (_p44(), Partition.of([(1, 0), (2, 3)], [(0, 0), (0, 3), (-1, 1)])):
-            with pytest.raises(LatsepError):
+        # the hulls meet: a narrow LP, and ex4.5's 120 points, sifted
+        monkeypatch.setattr(conditions, "EqualityFeasibility", Heavier)
+        for p in (_p44(), _p45()):
+            with pytest.raises(LatsepError, match="does not balance"):
+                search_flag(p)
+        # flags: a narrow LP, and the 289-point sqrt(2) window, sifted
+        monkeypatch.setattr(conditions, "EqualityFeasibility", Negated)
+        gap = Partition.of([(1, 0), (2, 3)], [(0, 0), (0, 3), (-1, 1)])
+        for p in (gap, catalog.sqrt2_halfplane_window(8)):
+            with pytest.raises(LatsepError, match="does not separate the working points"):
                 search_flag(p)
 
     def test_found_flags_verify(self):
