@@ -11,9 +11,8 @@ triple that rules out the 3-parallelogram condition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Callable
 
 from .conditions import (
     Partition,
@@ -35,13 +34,6 @@ class ClaimResult:
     claim: str
     passed: bool
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    summary: str
-    run: Callable[[], list[ClaimResult]] = field(repr=False)
 
 
 @dataclass
@@ -123,20 +115,17 @@ FIG2_B = ((1, 1),)
 CATALOG_WINDOW = 8  # window half-size used by the windowed catalog entries
 
 
-def _run_ex_line_1d() -> list[ClaimResult]:
-    eid = "ex2.4-1d"
+def _run_ex_line_1d(eid: str) -> list[ClaimResult]:
     p = Partition.of([(0,), (1,), (2,)], [(-1,), (-2,)])
     flag = SeparatingFlag(1, (AffineFunctional.of([1], 0),), "A")
-    out = [
+    return [
         _c(eid, "ray condition holds", check_ray(p).holds),
         _c(eid, "flag search succeeds", search_flag(p).holds),
         _c(eid, "identity functional with residual owner A verifies", verify_flag(p, flag)),
     ]
-    return out
 
 
-def _run_ex_sqrt2_window() -> list[ClaimResult]:
-    eid = "ex2.4-window"
+def _run_ex_sqrt2_window(eid: str) -> list[ClaimResult]:
     n = CATALOG_WINDOW
     p = sqrt2_halfplane_window(n)
     flag = sqrt2_window_flag(n)
@@ -150,8 +139,7 @@ def _run_ex_sqrt2_window() -> list[ClaimResult]:
     ]
 
 
-def _run_ex_quarter_window() -> list[ClaimResult]:
-    eid = "ex2.5-window"
+def _run_ex_quarter_window(eid: str) -> list[ClaimResult]:
     n = CATALOG_WINDOW
     p = quarter_boundary_window(n)
     flag = quarter_boundary_flag()
@@ -170,8 +158,7 @@ def _run_ex_quarter_window() -> list[ClaimResult]:
     ]
 
 
-def _run_ex44() -> list[ClaimResult]:
-    eid = "ex4.4"
+def _run_ex44(eid: str) -> list[ClaimResult]:
     p = Partition.of([(0, 0), (1, 1)], [(1, 0), (0, 1)])
     par = check_parallelogram(p, 2)
     flag = search_flag(p)
@@ -184,8 +171,7 @@ def _run_ex44() -> list[ClaimResult]:
     ]
 
 
-def _run_ex45() -> list[ClaimResult]:
-    eid = "ex4.5"
+def _run_ex45(eid: str) -> list[ClaimResult]:
     box = PointSet.of(
         [(x, y, z) for x in range(6) for y in range(5) for z in range(4)], 3
     )
@@ -218,8 +204,7 @@ def _run_ex45() -> list[ClaimResult]:
     ]
 
 
-def _run_ex46() -> list[ClaimResult]:
-    eid = "ex4.6-holes"
+def _run_ex46(eid: str) -> list[ClaimResult]:
     generators = PointSet.of(SIMPLEX_1374, 3)
     hull1 = k_convex_hull(generators, 1)
     hull2 = k_convex_hull(hull1, 2)
@@ -239,8 +224,7 @@ def _run_ex46() -> list[ClaimResult]:
     ]
 
 
-def _run_ex47() -> list[ClaimResult]:
-    eid = "ex4.7"
+def _run_ex47(eid: str) -> list[ClaimResult]:
     verts = PointSet.of(FANO_VERTICES, 3)
     pts = lattice_points_in_conv(verts)
     p = Partition.of(FANO_VERTICES, [(0, 0, 0)], 3)
@@ -257,8 +241,7 @@ def _run_ex47() -> list[ClaimResult]:
     ]
 
 
-def _run_ex48() -> list[ClaimResult]:
-    eid = "ex4.8"
+def _run_ex48(eid: str) -> list[ClaimResult]:
     a_pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     b_pts = [(0, 0, 0), (1, 1, 2)]
     p = Partition.of(a_pts, b_pts, 3)
@@ -273,8 +256,7 @@ def _run_ex48() -> list[ClaimResult]:
     ]
 
 
-def _run_fig2() -> list[ClaimResult]:
-    eid = "fig2-triangle-center"
+def _run_fig2(eid: str) -> list[ClaimResult]:
     p = Partition.of(FIG2_A, FIG2_B, 2)
     par2 = check_parallelogram(p, 2)
     par3 = check_parallelogram(p, 3)
@@ -291,34 +273,33 @@ def _run_fig2() -> list[ClaimResult]:
     ]
 
 
-ENTRIES: list[CatalogEntry] = [
-    CatalogEntry("ex2.4-1d", "one-dimensional block partition", _run_ex_line_1d),
-    CatalogEntry("ex2.4-window", "irrational-slope half plane, windowed", _run_ex_sqrt2_window),
-    CatalogEntry("ex2.5-window", "half plane plus half line, windowed", _run_ex_quarter_window),
-    CatalogEntry("ex4.4", "diagonal versus antidiagonal of the unit square", _run_ex44),
-    CatalogEntry("ex4.5", "simplex closure inside a box, dimension 3", _run_ex45),
-    CatalogEntry("ex4.6-holes", "hole tower of the 13-7-4 simplex", _run_ex46),
-    CatalogEntry("ex4.7", "terminal simplex with a single interior point", _run_ex47),
-    CatalogEntry("ex4.8", "unit vectors against origin and (1,1,2)", _run_ex48),
-    CatalogEntry("fig2-triangle-center", "derived planar counterexample", _run_fig2),
-]
+# catalog id -> the function that checks the entry's claims under that id
+ENTRIES = {
+    "ex2.4-1d": _run_ex_line_1d,
+    "ex2.4-window": _run_ex_sqrt2_window,
+    "ex2.5-window": _run_ex_quarter_window,
+    "ex4.4": _run_ex44,
+    "ex4.5": _run_ex45,
+    "ex4.6-holes": _run_ex46,
+    "ex4.7": _run_ex47,
+    "ex4.8": _run_ex48,
+    "fig2-triangle-center": _run_fig2,
+}
 
 
 def entry_ids() -> list[str]:
-    return [e.id for e in ENTRIES]
+    return list(ENTRIES)
 
 
 def run_catalog(pattern: str | None = None) -> CatalogReport:
     """Run every entry whose id matches the pattern (fnmatch syntax or a
     literal id); unknown patterns raise InstanceFormatError."""
     selected = [
-        e
-        for e in ENTRIES
-        if pattern is None or e.id == pattern or fnmatchcase(e.id, pattern)
+        eid for eid in ENTRIES if pattern is None or eid == pattern or fnmatchcase(eid, pattern)
     ]
     if not selected:
         raise InstanceFormatError(f"unknown catalog id or pattern: {pattern!r}")
     results: list[ClaimResult] = []
-    for e in selected:
-        results.extend(e.run())
+    for eid in selected:
+        results.extend(ENTRIES[eid](eid))
     return CatalogReport(results)

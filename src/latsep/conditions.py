@@ -293,19 +293,19 @@ def check_ray(p: Partition) -> Verdict:
 # ---------------------------------------------------------------------------
 # flag separation
 
-def _flats_of(flag: SeparatingFlag):
-    """Nested flats cut out by the flag levels, ambient first.
+def lex_flag_to_subspace_chain(flag: SeparatingFlag):
+    """The flag's nested subspace chain, smallest flat first, as
+    (anchor, basis) pairs ending with the ambient space.
 
-    Each flat is (anchor, basis) with a rational anchor and primitive
-    integer directions; raises InvalidFlagError when some level is
-    constant on the previous flat.  For c the level's coefficients on
-    the basis, v becomes |c0| v - sign(c0) c_v b0, a positive multiple
-    of v - (c_v / c0) b0.
+    Each flat has a rational anchor and primitive integer directions;
+    raises InvalidFlagError when some level is constant on the previous
+    flat.  For c the level's coefficients on the basis, v becomes
+    |c0| v - sign(c0) c_v b0, a positive multiple of v - (c_v / c0) b0.
     """
     d = flag.dim
     anchor = tuple(Fraction(0) for _ in range(d))
     basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    flats = [(anchor, basis)]
+    chain = [(anchor, basis)]
     for level, g in enumerate(flag.functionals):
         if len(g.normal) != d:
             raise DimensionMismatchError("functional dimension mismatch")
@@ -322,8 +322,8 @@ def _flats_of(flag: SeparatingFlag):
             for j, (v, c) in enumerate(zip(basis, coeffs))
             if j != j0
         ]
-        flats.append((anchor, basis))
-    return flats
+        chain.insert(0, (anchor, basis))
+    return chain
 
 
 def verify_flag(p: Partition, flag: SeparatingFlag) -> bool:
@@ -335,7 +335,7 @@ def verify_flag(p: Partition, flag: SeparatingFlag) -> bool:
     points on which it vanishes go on to the next level."""
     if flag.dim != p.dim:
         raise DimensionMismatchError("flag/partition dimension mismatch")
-    _flats_of(flag)  # structural validation, and each level's dimension
+    lex_flag_to_subspace_chain(flag)  # structural validation, and each level's dimension
     for own, sign, pts in ((OWNER_A, 1, p.a.points), (OWNER_B, -1, p.b.points)):
         for g in flag.functionals:
             if not pts:
@@ -348,12 +348,6 @@ def verify_flag(p: Partition, flag: SeparatingFlag) -> bool:
         if pts and flag.residual_owner != own:
             return False
     return True
-
-
-def lex_flag_to_subspace_chain(flag: SeparatingFlag):
-    """The flag's nested subspace chain, smallest flat first, as
-    (anchor, basis) pairs ending with the ambient space."""
-    return list(reversed(_flats_of(flag)))
 
 
 def _common_point(x, a_pts, b_pts) -> CommonPoint:
@@ -418,19 +412,18 @@ def search_flag(p: Partition) -> Verdict:
     ``_chart`` keeps the last union's coordinates, so the bipartitions
     of one set share them.
     """
-    a_sorted = sorted(p.a.points)
-    b_sorted = sorted(p.b.points)
-    pts = a_sorted + b_sorted
+    a_side, b_side = p.a.points, p.b.points
+    pts = a_side + b_side
     cols = _chart(p.dim, tuple(sorted(pts)))
     r = len(cols)
-    n_a = len(a_sorted)
-    full = [[q[j] for q in a_sorted] + [-q[j] for q in b_sorted] for j in cols]
+    n_a = len(a_side)
+    full = [[q[j] for q in a_side] + [-q[j] for q in b_side] for j in cols]
     if len(pts) <= _SIFT_COLUMNS_PER_ROW * (r + 2):
         work = range(len(pts))
     else:
         work = sorted(_extremes(full, n_a))
-    full.append([1] * n_a + [0] * len(b_sorted))
-    full.append([0] * n_a + [1] * len(b_sorted))
+    full.append([1] * n_a + [0] * len(b_side))
+    full.append([0] * n_a + [1] * len(b_side))
     while True:
         rows = full if len(work) == len(pts) else [[row[i] for i in work] for row in full]
         system = EqualityFeasibility(rows, [0] * r + [1, 1])

@@ -83,18 +83,13 @@ def lemma_triple(t: MinimalTriangle) -> tuple[IntPoint, IntPoint, IntPoint]:
     a1perp = perp_towards(a1t, a2t)
     a2perp = perp_towards(a2t, a1t)
 
-    def argmax(shift, perp):
-        best = None
-        best_val = None
-        for b in interior:
-            bt = (b[0] - a3[0] - shift[0], b[1] - a3[1] - shift[1])
-            val = bt[0] * perp[0] + bt[1] * perp[1]
-            if best_val is None or val > best_val:
-                best, best_val = b, val
-        return best
+    def argmax(perp):
+        # a translation shifts every value alike, so it keeps the argmax;
+        # interior is sorted and max keeps the first of equal values
+        return max(interior, key=lambda b: b[0] * perp[0] + b[1] * perp[1])
 
-    b1 = argmax(a1t, a2perp)
-    b2 = argmax(a2t, a1perp)
+    b1 = argmax(a2perp)
+    b2 = argmax(a1perp)
     b3 = tuple(a1[i] + a2[i] + a3[i] - b1[i] - b2[i] for i in range(2))
     if b3 not in set(interior):
         raise AssertionError("constructed third point escaped the interior")

@@ -23,9 +23,6 @@ from __future__ import annotations
 
 from .errors import LatsepError
 
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
-
 
 def _eliminate(row, prow, p, c, den) -> list[int]:
     """Row ``row`` after the pivot on entry p of ``prow`` in column c, for
@@ -57,8 +54,9 @@ def _pivot(rows, z, basis, den, pr, pc) -> int:
 _STALL_LIMIT = 12
 
 
-def _run(rows, z, basis, den, ncols) -> tuple[str, int]:
-    """Simplex loop; mutates rows/z/basis, returns (status, denominator).
+def _run(rows, z, basis, den, ncols) -> int:
+    """Phase-1 simplex loop; mutates rows/z/basis, returns the optimal
+    tableau's denominator.
 
     Pricing is Dantzig (most negative reduced cost), which is fast on
     the heavily degenerate systems produced by the separation searches.
@@ -66,7 +64,9 @@ def _run(rows, z, basis, den, ncols) -> tuple[str, int]:
     to Bland's smallest-index rule until the objective moves again,
     which rules out cycling while keeping the fast path.  Every entry
     shares the denominator, so reduced costs compare as integers; the
-    ratio test compares by cross-multiplication.
+    ratio test compares by cross-multiplication.  The phase-1 objective
+    is at least 0, so it is never unbounded: a column that no row bounds
+    raises LatsepError.
     """
     stall = 0
     last_obj, last_den = z[-1], den
@@ -85,7 +85,7 @@ def _run(rows, z, basis, den, ncols) -> tuple[str, int]:
                     enter = j
                     break
         if enter < 0:
-            return OPTIMAL, den
+            return den
         leave = -1
         for i, row in enumerate(rows):
             a = row[enter]
@@ -97,7 +97,7 @@ def _run(rows, z, basis, den, ncols) -> tuple[str, int]:
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, top, bottom = i, row[-1], a
         if leave < 0:
-            return UNBOUNDED, den
+            raise LatsepError("phase 1 unbounded, but its objective is at least 0")
         den = _pivot(rows, z, basis, den, leave, enter)
         if z[-1] * last_den != last_obj * den:
             last_obj, last_den = z[-1], den
@@ -131,9 +131,7 @@ class EqualityFeasibility:
         z = [0] * n + [1] * m + [0]
         for row in rows:
             z = [c - v for c, v in zip(z, row)]
-        status, den = _run(rows, z, basis, 1, n + m)
-        if status != OPTIMAL:
-            raise LatsepError("phase 1 unbounded, but its objective is at least 0")
+        den = _run(rows, z, basis, 1, n + m)
         self.feasible = z[-1] == 0
         if not self.feasible:
             # y = c_B B^-1 for phase-1 costs: 1 - z_{n+i} / den on artificial i

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations, combinations_with_replacement
 from math import prod
 
@@ -28,12 +28,9 @@ from .conditions import Partition, check_parallelogram, check_ray, search_flag
 from .convexity import is_hole_free, is_integrally_convex, is_k_convex
 from .errors import InstanceFormatError, read_json_object
 from .geometry import IntPoint, PointSet, box_points, lattice_points_in_conv, point_codes
-from .verdicts import Verdict
 
 # Most cells a grid may have: its 2**cells subsets are enumerated.
 MAX_GRID_CELLS = 24
-
-FAMILY_FILTERS = ("any", "hole-free", "integrally-convex", "1-convex")
 
 CONDITIONS = {
     "parallelogram-2": lambda p: check_parallelogram(p, 2),
@@ -42,40 +39,31 @@ CONDITIONS = {
     "flag": search_flag,
 }
 
-
-def evaluate_condition(name: str, partition: Partition) -> Verdict:
-    try:
-        fn = CONDITIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown condition {name!r}") from None
-    return fn(partition)
-
-
-def _passes_filter(s: PointSet, family: str) -> bool:
-    if family == "any":
-        return True
-    if family == "hole-free":
-        return is_hole_free(s).holds
-    if family == "integrally-convex":
-        return is_integrally_convex(s).holds
-    if family == "1-convex":
-        return is_k_convex(s, 1).holds
-    raise ValueError(f"unknown family filter {family!r}")
+# family name -> the decision a member must pass (None: every subset)
+FAMILY_FILTERS = {
+    "any": None,
+    "hole-free": is_hole_free,
+    "integrally-convex": is_integrally_convex,
+    "1-convex": lambda s: is_k_convex(s, 1),
+}
 
 
 def enumerate_family(dims, family: str = "any", start_mask: int = 0):
     """Nonempty subsets of the grid passing the filter, ascending bitmask
-    order (deterministic), starting after ``start_mask``."""
+    order (deterministic), starting after ``start_mask``.  An unknown
+    family or a grid of too many cells raises ValueError at the call."""
+    if family not in FAMILY_FILTERS:
+        raise ValueError(f"unknown family filter {family!r}")
+    passes = FAMILY_FILTERS[family]
     cells = list(box_points([0] * len(dims), [d - 1 for d in dims]))
     n = len(cells)
     if n > MAX_GRID_CELLS:
         raise ValueError(f"grid with {n} cells is too large to enumerate")
-    for mask in range(max(1, start_mask + 1), 1 << n):
-        s = PointSet.of(
-            [cells[i] for i in range(n) if mask >> i & 1], dim=len(dims)
-        )
-        if _passes_filter(s, family):
-            yield mask, s
+    subsets = (
+        (mask, PointSet.of([cells[i] for i in range(n) if mask >> i & 1], dim=len(dims)))
+        for mask in range(max(1, start_mask + 1), 1 << n)
+    )
+    return ((mask, s) for mask, s in subsets if passes is None or passes(s).holds)
 
 
 def bipartitions(s: PointSet):
@@ -173,27 +161,16 @@ class Violation:
         return Partition.of(self.a_points, self.b_points)
 
     def as_dict(self) -> dict:
-        return {
-            "set_points": [list(p) for p in self.set_points],
-            "a_points": [list(p) for p in self.a_points],
-            "b_points": [list(p) for p in self.b_points],
-            "left": self.left,
-            "right": self.right,
-            "left_holds": self.left_holds,
-            "right_holds": self.right_holds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Violation":
-        return cls(
-            tuple(tuple(p) for p in d["set_points"]),
-            tuple(tuple(p) for p in d["a_points"]),
-            tuple(tuple(p) for p in d["b_points"]),
-            d["left"],
-            d["right"],
-            d["left_holds"],
-            d["right_holds"],
-        )
+        """The violation ``as_dict`` gave, read back from JSON, which
+        stores the points of the ``*_points`` fields as lists."""
+        return cls(**{
+            f.name: tuple(map(tuple, d[f.name])) if f.name.endswith("_points") else d[f.name]
+            for f in fields(cls)
+        })
 
 
 @dataclass
@@ -212,14 +189,13 @@ class EquivalenceReport:
 
 
 def _check_set(args):
-    mask, points, dim, left, right = args
-    s = PointSet.of(points, dim)
+    mask, s, left, right = args
     violations = []
     n_partitions = 0
     for partition in bipartitions(s):
         n_partitions += 1
-        lv = evaluate_condition(left, partition)
-        rv = evaluate_condition(right, partition)
+        lv = CONDITIONS[left](partition)
+        rv = CONDITIONS[right](partition)
         if lv.holds != rv.holds:
             violations.append(
                 Violation(
@@ -250,17 +226,18 @@ def test_equivalence(
     ``stop_after`` ends the sweep once that many violations are found;
     ``checkpoint`` names a JSON file storing the enumeration cursor so an
     interrupted sweep resumes where it left off; ``stream`` receives one
-    JSON line per progress chunk and per violation.
+    JSON line per progress chunk and per violation.  An unknown family or
+    condition raises ValueError before any set is checked.
     """
+    for name in (left, right):
+        if name not in CONDITIONS:
+            raise ValueError(f"unknown condition {name!r}")
     report = EquivalenceReport(tuple(dims), family, left, right)
     # the settings a checkpoint must match to be resumed (JSON has no tuples)
     keys = {"dims": list(dims), "family": family, "left": left, "right": right}
     start_mask = _resume(checkpoint, "equivalence", report, **keys) if checkpoint else 0
 
-    tasks = (
-        (mask, s.points, s.dim, left, right)
-        for mask, s in enumerate_family(dims, family, start_mask)
-    )
+    tasks = ((mask, s, left, right) for mask, s in enumerate_family(dims, family, start_mask))
     pool = None
     if jobs > 1:
         # imported here: the module costs about 10 ms, and nothing else

@@ -14,9 +14,9 @@ certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from math import gcd
-from operator import mul, neg, sub
+from operator import ge, mul, neg, sub
 
 from . import linalg
 from .errors import DimensionMismatchError
@@ -46,6 +46,8 @@ class PointSet:
         for p in self.points:
             if len(p) != self.dim:
                 raise DimensionMismatchError(f"point {p} does not have dimension {self.dim}")
+        if any(map(ge, self.points, islice(self.points, 1, None))):
+            raise DimensionMismatchError("points must be sorted and unique; use PointSet.of")
         object.__setattr__(self, "_members", frozenset(self.points))
 
     @classmethod

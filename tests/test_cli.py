@@ -87,6 +87,13 @@ class TestExitCodes:
         )
         assert main(["check", "ray", path]) == 0
 
+    def test_ray_fails_with_the_line_trace(self, tmp_path, capsys):
+        path = _write(tmp_path, "r.json", {"dim": 2, "A": [[0, 0], [2, 0]], "B": [[1, 0], [1, 1]]})
+        assert main(["check", "ray", path]) == 1
+        assert capsys.readouterr().out == (
+            "fails on line through (0, 0) along (1, 0): (0, 0):A (1, 0):B (2, 0):A\n"
+        )
+
     def test_separate_failure_prints_the_common_point(self, tmp_path, capsys):
         path = _write(
             tmp_path,
@@ -258,6 +265,17 @@ class TestExitCodes:
                 main(command + ["--k", k, path])
             assert exc.value.code == 2
             assert "positive integer" in capsys.readouterr().err
+
+    def test_non_integer_k_is_usage_error(self, tmp_path, capsys):
+        path = _write(tmp_path, "p.json", {"dim": 2, "A": [[0, 0]], "B": [[1, 0]]})
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "par", "--k", "abc", path])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: latsep check par [-h] [--k K] file\n"
+            "latsep check par: error: argument --k: expected a positive integer "
+            f"up to {MAX_PAR_K}, got 'abc'\n"
+        )
 
     @pytest.mark.parametrize(
         "instance",

@@ -507,7 +507,7 @@ def _classifying_verify_flag(p: Partition, flag: SeparatingFlag) -> bool:
     verbatim as its reference."""
     if flag.dim != p.dim:
         raise DimensionMismatchError("flag/partition dimension mismatch")
-    conditions._flats_of(flag)  # structural validation
+    conditions.lex_flag_to_subspace_chain(flag)  # structural validation
     for own, pts in ((conditions.OWNER_A, p.a.points), (conditions.OWNER_B, p.b.points)):
         for q in pts:
             got = flag.classify(q)

@@ -1,6 +1,8 @@
 """Unit tests for the exact simplex."""
 
+import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 
 import latsep.exactlp
 import latsep.geometry
-from latsep.conditions import Partition, search_flag
+from latsep import explorer
+from latsep.conditions import Partition, search_flag, verify_flag
+from latsep.convexity import is_integrally_convex
 from latsep.errors import LatsepError
 from latsep.exactlp import EqualityFeasibility
 from latsep.geometry import PointSet, convex_combination_support, point_in_conv
@@ -158,3 +162,57 @@ def test_search_flag_matches_fraction_search(case):
 
 def _rank(vectors) -> int:
     return len(fraction_oracles.rref(fraction_oracles.frac_rows(vectors))[1])
+
+
+# ---------------------------------------------------------------------------
+# Bland's rule, which _run falls back to after _STALL_LIMIT stalled pivots
+
+
+def _certified(system, rows, rhs) -> bool:
+    """Does the system's answer check out: A x = den b with x >= 0, or
+    y . b > 0 with y . A_j <= 0 for every column j?"""
+    if system.feasible:
+        x, den = system.feasible_point()
+        return den > 0 and min(x) >= 0 and [_dot(row, x) for row in rows] == [den * v for v in rhs]
+    y, den = system.farkas_duals()
+    return den > 0 and _dot(y, rhs) > 0 and all(_dot(y, col) <= 0 for col in zip(*rows))
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def test_bland_rule_alone_agrees_on_degenerate_systems(monkeypatch):
+    # no stall budget: every pivot is priced by the smallest-index rule
+    rng = random.Random(2)
+    for _ in range(1000):
+        m, n = rng.randint(1, 4), rng.randint(1, 7)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.choice((0, 0, 1, 2)) for _ in range(m)]
+        dantzig = EqualityFeasibility(rows, rhs)
+        with monkeypatch.context() as patch:
+            patch.setattr(latsep.exactlp, "_STALL_LIMIT", 0)
+            bland = EqualityFeasibility(rows, rhs)
+        assert bland.feasible == dantzig.feasible, (rows, rhs)
+        assert _certified(bland, rows, rhs) and _certified(dantzig, rows, rhs)
+
+
+def test_bland_rule_alone_agrees_on_hunt_partitions(monkeypatch):
+    # every bipartition of a few sets the conjecture hunt samples and admits
+    sets, seed = [], 0
+    while len(sets) < 12:
+        s = explorer._sample_candidate(random.Random(seed), 2)
+        seed += 1
+        if 2 <= len(s) <= 9 and is_integrally_convex(s).holds:
+            sets.append(s)
+    for s in sets:
+        for p in explorer.bipartitions(s):
+            dantzig = search_flag(p)
+            with monkeypatch.context() as patch:
+                patch.setattr(latsep.exactlp, "_STALL_LIMIT", 0)
+                bland = search_flag(p)
+            assert bland.holds == dantzig.holds
+            if bland.holds:
+                assert verify_flag(p, bland.witness)
+            else:
+                assert is_common_point(p.a.points, p.b.points, bland.witness)

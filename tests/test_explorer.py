@@ -17,7 +17,6 @@ from latsep.explorer import (
     bipartitions,
     conjecture_hunt,
     enumerate_family,
-    evaluate_condition,
     hunt_over_set,
     parallelogram_masks,
 )
@@ -36,10 +35,18 @@ class TestEnumerateFamily:
         assert sum(1 for _ in enumerate_family((3, 3), "integrally-convex")) == 117
         assert sum(1 for _ in enumerate_family((3, 3), "hole-free")) == 213
         assert sum(1 for _ in enumerate_family((3, 3), "1-convex")) == 217
+        assert sum(1 for _ in enumerate_family((3, 3), "any")) == 511
 
     def test_guard_rejects_large_grids(self):
         with pytest.raises(ValueError):
             list(enumerate_family((5, 5), "any"))
+
+    def test_unknown_family_is_refused_at_the_call(self):
+        refused = re.escape("unknown family filter 'nope'")
+        with pytest.raises(ValueError, match=refused):
+            enumerate_family((2, 2), "nope")  # not iterated
+        with pytest.raises(ValueError, match=refused):
+            explorer.test_equivalence((2, 2), "nope", "ray", "flag")
 
     def test_deterministic_order(self):
         first = [m for m, _ in enumerate_family((2, 2), "any")]
@@ -125,9 +132,14 @@ class TestEquivalence:
             v.as_dict() for v in parallel.violations
         ]
 
-    def test_unknown_condition(self):
-        with pytest.raises(ValueError):
-            evaluate_condition("nope", None)
+    def test_unknown_condition(self, tmp_path):
+        # a one-cell grid has no partition, so only a check made up front
+        # sees the name; no checkpoint is written
+        cp = tmp_path / "cp.json"
+        for left, right in (("nope", "flag"), ("ray", "nope")):
+            with pytest.raises(ValueError, match=re.escape("unknown condition 'nope'")):
+                explorer.test_equivalence((1,), "any", left, right, checkpoint=str(cp))
+            assert not cp.exists()
 
 
 class TestConjectureHunt:

@@ -54,6 +54,16 @@ class TestPointSet:
         with pytest.raises(DimensionMismatchError):
             PointSet.of([(0, True)])
 
+    @pytest.mark.parametrize(
+        "points", [((1, 1), (0, 0)), ((0, 0), (0, 0)), ((0, 0), (1, 1), (1, 1)), ((0, 1), (0, 0))]
+    )
+    def test_constructor_refuses_unsorted_or_repeated_points(self, points):
+        # bipartitions, flag search and the witnesses' point order read
+        # the points as sorted and unique
+        with pytest.raises(DimensionMismatchError, match="sorted and unique"):
+            PointSet(2, points)
+        assert PointSet(2, tuple(sorted(set(points)))) == PointSet.of(points)
+
 
 class TestAffineHull:
     def test_single_point(self):
