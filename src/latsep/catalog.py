@@ -55,10 +55,6 @@ class CatalogReport:
         return out
 
 
-def _c(entry: str, claim: str, passed, detail: str = "") -> ClaimResult:
-    return ClaimResult(entry, claim, bool(passed), detail)
-
-
 # ---------------------------------------------------------------------------
 # windowed generators
 
@@ -115,63 +111,59 @@ FIG2_B = ((1, 1),)
 CATALOG_WINDOW = 8  # window half-size used by the windowed catalog entries
 
 
-def _run_ex_line_1d(eid: str) -> list[ClaimResult]:
+def _run_ex_line_1d() -> list[tuple]:
     p = Partition.of([(0,), (1,), (2,)], [(-1,), (-2,)])
     flag = SeparatingFlag(1, (AffineFunctional.of([1], 0),), "A")
     return [
-        _c(eid, "ray condition holds", check_ray(p).holds),
-        _c(eid, "flag search succeeds", search_flag(p).holds),
-        _c(eid, "identity functional with residual owner A verifies", verify_flag(p, flag)),
+        ("ray condition holds", check_ray(p).holds),
+        ("flag search succeeds", search_flag(p).holds),
+        ("identity functional with residual owner A verifies", verify_flag(p, flag)),
     ]
 
 
-def _run_ex_sqrt2_window(eid: str) -> list[ClaimResult]:
+def _run_ex_sqrt2_window() -> list[tuple]:
     n = CATALOG_WINDOW
     p = sqrt2_halfplane_window(n)
     flag = sqrt2_window_flag(n)
     chain = lex_flag_to_subspace_chain(flag)
     return [
-        _c(eid, f"stored flag verifies on window {n}", verify_flag(p, flag)),
-        _c(eid, "2-parallelogram condition holds", check_parallelogram(p, 2).holds),
-        _c(eid, "ray condition holds", check_ray(p).holds),
-        _c(eid, "flag search succeeds", search_flag(p).holds),
-        _c(eid, "chain is line inside plane", [len(b) for _, b in chain] == [1, 2]),
+        (f"stored flag verifies on window {n}", verify_flag(p, flag)),
+        ("2-parallelogram condition holds", check_parallelogram(p, 2).holds),
+        ("ray condition holds", check_ray(p).holds),
+        ("flag search succeeds", search_flag(p).holds),
+        ("chain is line inside plane", [len(b) for _, b in chain] == [1, 2]),
     ]
 
 
-def _run_ex_quarter_window(eid: str) -> list[ClaimResult]:
+def _run_ex_quarter_window() -> list[tuple]:
     n = CATALOG_WINDOW
     p = quarter_boundary_window(n)
     flag = quarter_boundary_flag()
     chain = lex_flag_to_subspace_chain(flag)
     origin_only = chain[0][0] == (0, 0) and chain[0][1] == []
     return [
-        _c(eid, f"two-level flag verifies on window {n}", verify_flag(p, flag)),
-        _c(eid, "2-parallelogram condition holds", check_parallelogram(p, 2).holds),
-        _c(eid, "ray condition holds", check_ray(p).holds),
-        _c(eid, "flag search succeeds", search_flag(p).holds),
-        _c(
-            eid,
-            "chain is origin inside vertical axis inside plane",
-            origin_only and [len(b) for _, b in chain] == [0, 1, 2],
-        ),
+        (f"two-level flag verifies on window {n}", verify_flag(p, flag)),
+        ("2-parallelogram condition holds", check_parallelogram(p, 2).holds),
+        ("ray condition holds", check_ray(p).holds),
+        ("flag search succeeds", search_flag(p).holds),
+        ("chain is origin inside vertical axis inside plane",
+         origin_only and [len(b) for _, b in chain] == [0, 1, 2]),
     ]
 
 
-def _run_ex44(eid: str) -> list[ClaimResult]:
+def _run_ex44() -> list[tuple]:
     p = Partition.of([(0, 0), (1, 1)], [(1, 0), (0, 1)])
     par = check_parallelogram(p, 2)
     flag = search_flag(p)
     return [
-        _c(eid, "union is integrally convex", is_integrally_convex(p.union()).holds),
-        _c(eid, "ray condition holds", check_ray(p).holds),
-        _c(eid, "2-parallelogram fails", not par.holds,
-           "midpoint clash" if not par.holds else ""),
-        _c(eid, "no separating flag exists", not flag.holds),
+        ("union is integrally convex", is_integrally_convex(p.union()).holds),
+        ("ray condition holds", check_ray(p).holds),
+        ("2-parallelogram fails", not par.holds, "midpoint clash" if not par.holds else ""),
+        ("no separating flag exists", not flag.holds),
     ]
 
 
-def _run_ex45(eid: str) -> list[ClaimResult]:
+def _run_ex45() -> list[tuple]:
     box = PointSet.of(
         [(x, y, z) for x in range(6) for y in range(5) for z in range(4)], 3
     )
@@ -189,22 +181,21 @@ def _run_ex45(eid: str) -> list[ClaimResult]:
         a + b + c for a, b, c in zip((5, 0, 0), (0, 0, 3), (1, 3, 0))
     )
     return [
-        _c(eid, "simplex holds 28 lattice points", len(s_prime) == 28),
-        _c(eid, "segment closure of the vertices misses only (2,1,1)",
-           set(hull1.points) == set(a_pts)),
-        _c(eid, "hull of A recovers every simplex lattice point",
-           set(conv_a.points) == set(s_prime.points)),
-        _c(eid, "2-parallelogram condition holds", par2.holds),
-        _c(eid, "3-parallelogram fails", not par3.holds),
-        _c(eid, "triple sums match three times the hole",
-           triple_sum == (6, 3, 3) == tuple(3 * v for v in (2, 1, 1))),
-        _c(eid, "A is 1-convex but not 2-convex",
-           is_k_convex(p.a, 1).holds and not is_k_convex(p.a, 2).holds),
-        _c(eid, "no separating flag exists", not flag.holds),
+        ("simplex holds 28 lattice points", len(s_prime) == 28),
+        ("segment closure of the vertices misses only (2,1,1)", set(hull1.points) == set(a_pts)),
+        ("hull of A recovers every simplex lattice point",
+         set(conv_a.points) == set(s_prime.points)),
+        ("2-parallelogram condition holds", par2.holds),
+        ("3-parallelogram fails", not par3.holds),
+        ("triple sums match three times the hole",
+         triple_sum == (6, 3, 3) == tuple(3 * v for v in (2, 1, 1))),
+        ("A is 1-convex but not 2-convex",
+         is_k_convex(p.a, 1).holds and not is_k_convex(p.a, 2).holds),
+        ("no separating flag exists", not flag.holds),
     ]
 
 
-def _run_ex46(eid: str) -> list[ClaimResult]:
+def _run_ex46() -> list[tuple]:
     generators = PointSet.of(SIMPLEX_1374, 3)
     hull1 = k_convex_hull(generators, 1)
     hull2 = k_convex_hull(hull1, 2)
@@ -214,49 +205,48 @@ def _run_ex46(eid: str) -> list[ClaimResult]:
     diff32 = sorted(set(hull3.points) - set(hull2.points))
     reports = {r.hole: r.first_k for r in classify_holes(generators)}
     return [
-        _c(eid, "simplex holds 114 lattice points", len(full) == 114),
-        _c(eid, "2-hull minus 1-hull is exactly (4,3,1)", diff21 == [(4, 3, 1)]),
-        _c(eid, "(6,2,1) enters only at the 3-hull", (6, 2, 1) in diff32),
-        _c(eid, "2-hull is not 3-convex", not is_k_convex(hull2, 3).holds),
-        _c(eid, "3-hull is every lattice point", set(hull3.points) == set(full.points)),
-        _c(eid, "hole (4,3,1) classified with k = 2", reports.get((4, 3, 1)) == 2),
-        _c(eid, "hole (6,2,1) classified with k = 3", reports.get((6, 2, 1)) == 3),
+        ("simplex holds 114 lattice points", len(full) == 114),
+        ("2-hull minus 1-hull is exactly (4,3,1)", diff21 == [(4, 3, 1)]),
+        ("(6,2,1) enters only at the 3-hull", (6, 2, 1) in diff32),
+        ("2-hull is not 3-convex", not is_k_convex(hull2, 3).holds),
+        ("3-hull is every lattice point", set(hull3.points) == set(full.points)),
+        ("hole (4,3,1) classified with k = 2", reports.get((4, 3, 1)) == 2),
+        ("hole (6,2,1) classified with k = 3", reports.get((6, 2, 1)) == 3),
     ]
 
 
-def _run_ex47(eid: str) -> list[ClaimResult]:
+def _run_ex47() -> list[tuple]:
     verts = PointSet.of(FANO_VERTICES, 3)
     pts = lattice_points_in_conv(verts)
     p = Partition.of(FANO_VERTICES, [(0, 0, 0)], 3)
     par4 = check_parallelogram(p, 4)
     par5 = check_parallelogram(p, 5)
     return [
-        _c(eid, "only lattice points are the vertices and the origin",
-           set(pts.points) == set(FANO_VERTICES) | {(0, 0, 0)}),
-        _c(eid, "4-parallelogram condition holds", par4.holds),
-        _c(eid, "5-parallelogram fails (five-point relation)", not par5.holds),
-        _c(eid, "no separating flag exists", not search_flag(p).holds),
-        _c(eid, "union is not integrally convex",
-           not is_integrally_convex(pts).holds),
+        ("only lattice points are the vertices and the origin",
+         set(pts.points) == set(FANO_VERTICES) | {(0, 0, 0)}),
+        ("4-parallelogram condition holds", par4.holds),
+        ("5-parallelogram fails (five-point relation)", not par5.holds),
+        ("no separating flag exists", not search_flag(p).holds),
+        ("union is not integrally convex", not is_integrally_convex(pts).holds),
     ]
 
 
-def _run_ex48(eid: str) -> list[ClaimResult]:
+def _run_ex48() -> list[tuple]:
     a_pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     b_pts = [(0, 0, 0), (1, 1, 2)]
     p = Partition.of(a_pts, b_pts, 3)
     a_in_conv_b = [q for q in a_pts if point_in_conv(q, p.b)]
     b_in_conv_a = [q for q in b_pts if point_in_conv(q, p.a)]
     return [
-        _c(eid, "union is hole free", is_hole_free(p.union()).holds),
-        _c(eid, "no A point inside hull of B", not a_in_conv_b),
-        _c(eid, "no B point inside hull of A", not b_in_conv_a),
-        _c(eid, "3-parallelogram condition holds", check_parallelogram(p, 3).holds),
-        _c(eid, "no separating flag exists", not search_flag(p).holds),
+        ("union is hole free", is_hole_free(p.union()).holds),
+        ("no A point inside hull of B", not a_in_conv_b),
+        ("no B point inside hull of A", not b_in_conv_a),
+        ("3-parallelogram condition holds", check_parallelogram(p, 3).holds),
+        ("no separating flag exists", not search_flag(p).holds),
     ]
 
 
-def _run_fig2(eid: str) -> list[ClaimResult]:
+def _run_fig2() -> list[tuple]:
     p = Partition.of(FIG2_A, FIG2_B, 2)
     par2 = check_parallelogram(p, 2)
     par3 = check_parallelogram(p, 3)
@@ -264,16 +254,17 @@ def _run_fig2(eid: str) -> list[ClaimResult]:
         3 * v for v in FIG2_B[0]
     )
     return [
-        _c(eid, "union is hole free", is_hole_free(p.union()).holds),
-        _c(eid, "2-parallelogram condition holds", par2.holds),
-        _c(eid, "ray condition holds", check_ray(p).holds),
-        _c(eid, "no separating flag exists", not search_flag(p).holds),
-        _c(eid, "3-parallelogram fails", not par3.holds),
-        _c(eid, "centroids of the sides coincide", centroid_match),
+        ("union is hole free", is_hole_free(p.union()).holds),
+        ("2-parallelogram condition holds", par2.holds),
+        ("ray condition holds", check_ray(p).holds),
+        ("no separating flag exists", not search_flag(p).holds),
+        ("3-parallelogram fails", not par3.holds),
+        ("centroids of the sides coincide", centroid_match),
     ]
 
 
-# catalog id -> the function that checks the entry's claims under that id
+# catalog id -> the function that checks the entry's claims, as
+# (claim, passed[, detail]) tuples
 ENTRIES = {
     "ex2.4-1d": _run_ex_line_1d,
     "ex2.4-window": _run_ex_sqrt2_window,
@@ -299,7 +290,8 @@ def run_catalog(pattern: str | None = None) -> CatalogReport:
     ]
     if not selected:
         raise InstanceFormatError(f"unknown catalog id or pattern: {pattern!r}")
-    results: list[ClaimResult] = []
-    for eid in selected:
-        results.extend(ENTRIES[eid](eid))
-    return CatalogReport(results)
+    return CatalogReport([
+        ClaimResult(eid, claim, bool(passed), *detail)
+        for eid in selected
+        for claim, passed, *detail in ENTRIES[eid]()
+    ])

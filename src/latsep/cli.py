@@ -103,10 +103,8 @@ def parse_instance(path: str):
     dim = data.get("dim")
     if not _is_int(dim) or dim < 1:
         raise InstanceFormatError(f"{path}: field 'dim' must be a positive integer")
-    keys = [k for k in ("S", "A", "simplex", "box") if k in data]
-    if "A" in data or "B" in data:
-        if not ("A" in data and "B" in data):
-            raise InstanceFormatError(f"{path}: fields 'A' and 'B' must appear together")
+    keys = [k for k in ("S", "A", "B", "simplex", "box") if k in data]
+    if keys == ["A", "B"]:
         a = _point_list(data["A"], dim, "A")
         b = _point_list(data["B"], dim, "B")
         if not a or not b:
@@ -144,9 +142,7 @@ def parse_instance(path: str):
 
 def _parse_fraction(raw, where: str) -> Fraction:
     try:
-        if isinstance(raw, str):
-            return Fraction(raw)
-        if _is_int(raw):
+        if isinstance(raw, str) or _is_int(raw):
             return Fraction(raw)
     except (ValueError, ZeroDivisionError):
         pass
@@ -238,69 +234,51 @@ def _verdict_exit(holds: bool) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
+# check name -> (its decision on the instance and the parsed arguments,
+# whether it takes a partition rather than a point set, its "holds"
+# line with the arguments filled in, its failing-witness line).  Each
+# decision looks its function up when it runs, so a module attribute
+# replaced in a test is the one called.
+_CHECKS = {
+    "par": (
+        lambda p, args: check_parallelogram(p, args.k), True,
+        "holds: no equal sums of up to {k} points per side",
+        lambda w: f"fails at order {w.order}: {_fmt_points(w.left)} and "
+        f"{_fmt_points(w.right)} both sum to {_fmt_point(w.total)}",
+    ),
+    "ray": (
+        lambda p, args: check_ray(p), True,
+        "holds: on every shared line one side is a prefix or suffix",
+        lambda w: f"fails on line through {_fmt_point(w.base)} along {_fmt_point(w.direction)}: "
+        + " ".join(f"{_fmt_point(q)}:{s}" for q, s in zip(w.trace, w.sides)),
+    ),
+    "hole-free": (
+        lambda s, args: is_hole_free(s), False,
+        "holds: set equals the lattice points of its hull",
+        lambda w: f"fails: missing lattice point {_fmt_point(w.missing)}",
+    ),
+    "integrally-convex": (
+        lambda s, args: is_integrally_convex(s), False,
+        "holds: every local hull matches the global hull",
+        lambda w: f"fails in cell at {_fmt_point(w.cell)}: vertex {_fmt_point(w.vertex)} "
+        "not locally covered",
+    ),
+    "k-convex": (
+        lambda s, args: is_k_convex(s, args.k), False,
+        "holds: {k}-convex",
+        lambda w: f"fails: hull of {_fmt_points(w.subset)} contains {_fmt_point(w.missing)}",
+    ),
+}
+
+
 def _cmd_check(args) -> int:
+    decide, on_partition, holds, fails = _CHECKS[args.condition]
     obj = parse_instance(args.file)
-    kind = args.condition
-    if kind == "par":
-        p = _require_partition(obj, "check par")
-        v = check_parallelogram(p, args.k)
-        if v.holds:
-            print(f"holds: no equal sums of up to {args.k} points per side")
-        else:
-            w = v.witness
-            print(
-                f"fails at order {w.order}: {_fmt_points(w.left)} and "
-                f"{_fmt_points(w.right)} both sum to {_fmt_point(w.total)}"
-            )
-        return _verdict_exit(v.holds)
-    if kind == "ray":
-        p = _require_partition(obj, "check ray")
-        v = check_ray(p)
-        if v.holds:
-            print("holds: on every shared line one side is a prefix or suffix")
-        else:
-            w = v.witness
-            trace = " ".join(
-                f"{_fmt_point(q)}:{s}" for q, s in zip(w.trace, w.sides)
-            )
-            print(
-                f"fails on line through {_fmt_point(w.base)} along "
-                f"{_fmt_point(w.direction)}: {trace}"
-            )
-        return _verdict_exit(v.holds)
-    if kind == "hole-free":
-        s = _as_point_set(obj, args.file)
-        v = is_hole_free(s)
-        if v.holds:
-            print("holds: set equals the lattice points of its hull")
-        else:
-            print(f"fails: missing lattice point {_fmt_point(v.witness.missing)}")
-        return _verdict_exit(v.holds)
-    if kind == "integrally-convex":
-        s = _as_point_set(obj, args.file)
-        v = is_integrally_convex(s)
-        if v.holds:
-            print("holds: every local hull matches the global hull")
-        else:
-            w = v.witness
-            print(
-                f"fails in cell at {_fmt_point(w.cell)}: vertex "
-                f"({', '.join(str(x) for x in w.vertex)}) not locally covered"
-            )
-        return _verdict_exit(v.holds)
-    if kind == "k-convex":
-        s = _as_point_set(obj, args.file)
-        v = is_k_convex(s, args.k)
-        if v.holds:
-            print(f"holds: {args.k}-convex")
-        else:
-            w = v.witness
-            print(
-                f"fails: hull of {_fmt_points(w.subset)} contains "
-                f"{_fmt_point(w.missing)}"
-            )
-        return _verdict_exit(v.holds)
-    raise InstanceFormatError(f"unknown check {kind!r}")
+    obj = (_require_partition(obj, f"check {args.condition}") if on_partition
+           else _as_point_set(obj, args.file))
+    v = decide(obj, args)
+    print(holds.format(**vars(args)) if v.holds else fails(v.witness))
+    return _verdict_exit(v.holds)
 
 
 def _cmd_separate(args) -> int:
@@ -430,7 +408,12 @@ def _cmd_plot(args) -> int:
         a_pts, b_pts = obj.points, ()
     funcs = ()
     if args.flag:
-        funcs = parse_flag_file(args.flag).functionals
+        flag = parse_flag_file(args.flag)
+        if flag.dim != obj.dim:
+            raise InstanceFormatError(
+                f"{args.flag}: a flag of dimension {flag.dim} for an instance of dimension {obj.dim}"
+            )
+        funcs = flag.functionals
     svg = render_svg(a_pts, b_pts, funcs)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -488,17 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="run a single condition check")
     chk_sub = chk.add_subparsers(dest="condition", required=True)
-    par = chk_sub.add_parser("par", help="k-parallelogram condition")
-    par.add_argument(
-        "--k", type=_int_in(1, MAX_PAR_K, f"a positive integer up to {MAX_PAR_K}"), default=2
-    )
-    par.add_argument("file")
-    for name in ("ray", "hole-free", "integrally-convex"):
-        c = chk_sub.add_parser(name)
+    for name in _CHECKS:
+        if name == "par":
+            c = chk_sub.add_parser(name, help="k-parallelogram condition")
+            k_max = f"a positive integer up to {MAX_PAR_K}"
+            c.add_argument("--k", type=_int_in(1, MAX_PAR_K, k_max), default=2)
+        else:
+            c = chk_sub.add_parser(name)
+        if name == "k-convex":
+            c.add_argument("--k", type=_positive_int, required=True)
         c.add_argument("file")
-    kc = chk_sub.add_parser("k-convex")
-    kc.add_argument("--k", type=_positive_int, required=True)
-    kc.add_argument("file")
     chk.set_defaults(fn=_cmd_check)
 
     sep = sub.add_parser("separate", help="decide flag separation")

@@ -19,7 +19,9 @@ Flag search runs on those alone.
 from __future__ import annotations
 
 import json
+import os
 import random
+import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations, combinations_with_replacement
 from math import prod
@@ -329,17 +331,26 @@ def _resume(path: str, kind: str, report, **keys) -> int:
 
 def _save_checkpoint(path: str, kind: str, report, cursor: int, **keys) -> None:
     """Store ``report`` and ``cursor`` at ``path``, in the fields that
-    ``_resume`` reads back."""
+    ``_resume`` reads back.  The state is written to a temporary file in
+    the same directory and renamed onto ``path``, so a save cut short
+    (an interrupt, a full disk) leaves the previous checkpoint whole."""
     counts, listed = _CHECKPOINT_FIELDS[kind]
     state = {"kind": kind, "cursor": cursor, **keys}
     state.update((name, getattr(report, name)) for name in counts)
     state[listed] = [v.as_dict() for v in getattr(report, listed)]
+    tmp = None
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path) or ".")
+        with open(fd, "w", encoding="utf-8") as fh:
             json.dump(state, fh, sort_keys=True)
             fh.write("\n")
+        os.replace(tmp, path)
+        tmp = None
     except OSError as e:
         raise InstanceFormatError(f"checkpoint {path}: {e.strerror or e}") from None
+    finally:
+        if tmp is not None:
+            os.remove(tmp)
 
 
 def _emit(stream, record: dict) -> None:

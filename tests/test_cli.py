@@ -71,6 +71,16 @@ class TestParseInstance:
         with pytest.raises(InstanceFormatError, match="exactly one"):
             parse_instance(path)
 
+    @pytest.mark.parametrize(
+        "extra", [{"S": [[5, 5]]}, {"box": [[0, 0], [1, 1]]}, {"simplex": [[0, 0], [2, 0], [0, 2]]}]
+    )
+    def test_partition_with_another_kind_is_refused(self, tmp_path, capsys, extra):
+        # a file naming two kinds of instance is ambiguous, not a partition
+        path = _write(tmp_path, "mixed.json", {"dim": 2, "A": [[0, 0]], "B": [[1, 1]], **extra})
+        assert main(["separate", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "expected exactly one of" in captured.err
+
 
 class TestExitCodes:
     def test_par_fails_with_witness(self, tmp_path, capsys):
@@ -500,6 +510,23 @@ class TestCommands:
         out = tmp_path / "fig.svg"
         assert main(["plot", inst, "--flag", flag, "-o", str(out)]) == 0
         assert "<line" in out.read_text()
+
+    def test_plot_refuses_a_flag_of_another_dimension(self, tmp_path, capsys):
+        flag = _write(
+            tmp_path,
+            "flag3.json",
+            {
+                "dim": 3,
+                "functionals": [{"normal": ["1", "1", "0"], "offset": "0"}],
+                "residual_owner": "A",
+            },
+        )
+        out = tmp_path / "fig.svg"
+        inst = str(ROOT / "instances" / "ex4.4.json")
+        assert main(["plot", inst, "--flag", flag, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "dimension 3" in err and "dimension 2" in err
+        assert not out.exists()
 
     def test_python_dash_m_runs_the_cli(self):
         path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])

@@ -15,7 +15,12 @@ from latsep.conditions import Partition, search_flag, verify_flag
 from latsep.convexity import is_integrally_convex
 from latsep.errors import LatsepError
 from latsep.exactlp import EqualityFeasibility
-from latsep.geometry import PointSet, convex_combination_support, point_in_conv
+from latsep.geometry import (
+    PointSet,
+    convex_combination_support,
+    lattice_points_in_conv,
+    point_in_conv,
+)
 from latsep.linalg import common_denominator
 
 import fraction_oracles
@@ -216,3 +221,22 @@ def test_bland_rule_alone_agrees_on_hunt_partitions(monkeypatch):
                 assert verify_flag(p, bland.witness)
             else:
                 assert is_common_point(p.a.points, p.b.points, bland.witness)
+
+
+def test_dantzig_pricing_keeps_wide_lps_short(monkeypatch):
+    # 1,771 columns, one per lattice point of conv{0, 20e_i}: Dantzig
+    # pricing reaches a basic point in 4 pivots, Bland's rule alone took
+    # 1,293 (see "Fraction-free simplex" in the algorithm notes)
+    pivots = []
+    real = latsep.exactlp._pivot
+
+    def spy(*args):
+        pivots.append(args)
+        return real(*args)
+
+    s = lattice_points_in_conv(PointSet.of([(0, 0, 0), (20, 0, 0), (0, 20, 0), (0, 0, 20)]))
+    with monkeypatch.context() as patch:
+        patch.setattr(latsep.exactlp, "_pivot", spy)
+        support = convex_combination_support((6, 6, 5), s)
+    assert len(s) == 1771 and len(pivots) <= 10
+    assert set(support) <= set(s.points) and point_in_conv((6, 6, 5), PointSet.of(support))

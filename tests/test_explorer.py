@@ -142,6 +142,36 @@ class TestEquivalence:
             assert not cp.exists()
 
 
+def _interrupted_dump(obj, fh, **kwargs):
+    # a save cut short: part of the state reaches the file, then an interrupt
+    fh.write(json.dumps(obj, **kwargs)[:40])
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cp, partial=False: explorer.test_equivalence(
+            (2, 3), "any", "parallelogram-2", "flag",
+            stop_after=1 if partial else None, checkpoint=cp,
+        ),
+        lambda cp, partial=False: conjecture_hunt(20 if partial else 30, seed=1, checkpoint=cp),
+    ],
+    ids=["equivalence", "conjecture"],
+)
+def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, run):
+    cp = tmp_path / "cp.json"
+    run(str(cp), partial=True)
+    stored = cp.read_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(explorer.json, "dump", _interrupted_dump)
+        with pytest.raises(KeyboardInterrupt):
+            run(str(cp))
+    assert cp.read_bytes() == stored
+    assert [f.name for f in tmp_path.iterdir()] == ["cp.json"]
+    assert run(str(cp)) == run(None)
+
+
 class TestConjectureHunt:
     def test_budget_zero(self):
         report = conjecture_hunt(0, seed=1)
