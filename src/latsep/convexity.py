@@ -5,7 +5,8 @@ members.  It is written once per regime, as a generator of (support,
 point) that repeats the step until a pass adds nothing:
 ``_sweep_additions`` enumerates the subsets, and ``_candidate_additions``
 (k <= 2) tests each lattice point of conv(S) with an integer kernel that
-finds at most k+1 current points whose hull holds it.  ``is_k_convex``
+finds at most k+1 current points whose hull holds it, and retests a miss
+only for triangles with a vertex added since.  ``is_k_convex``
 reads its witness off the first addition; ``k_convex_hull`` and
 ``classify_holes`` take them all.  Lattice points of a simplex are found
 with integer arithmetic only, none for affinely dependent subsets (their
@@ -16,8 +17,9 @@ on integer barycentric forms; see the algorithm notes in docs/.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import lcm
+from itertools import combinations, compress, product
+from math import gcd, lcm
+from operator import floordiv, neg, sub
 
 from . import linalg
 from .geometry import (
@@ -107,19 +109,26 @@ def _simplex_points(points: tuple[IntPoint, ...]):
 # ---------------------------------------------------------------------------
 # target-driven closure: is a candidate in the hull of <= k+1 current points?
 
-def _hull_support(z: IntPoint, pts, k: int, table) -> tuple[IntPoint, ...] | None:
+def _hull_support(
+    z: IntPoint, pts, k: int, table, start: int = 0
+) -> tuple[IntPoint, ...] | None:
     """At most k+1 points of ``pts``, for k = 1 or 2, whose convex hull
     contains ``z``, or None when there are none; ``z`` must not be one of
     ``pts``, and ``table`` is the ``DirectionCodes`` of a set holding both.
+    A ``start`` > 0 promises that no subset of ``pts[:start]`` holds
+    ``z``; the triangle step then skips the triangles inside it.
 
     Integer arithmetic only, O(N^2) for N points.  Segment step: z lies
     on a segment exactly when two vectors p - z have opposite primitive
     directions (``table``); the pair is the first such r and the first q
-    opposite it.  Triangle step: for v = p - z, each later w = q - z is
-    bucketed by the primitive part u of its projection
-    <v,v>w - <v,w>v orthogonal to v, with gcd g, keeping the least
-    <v,w>/g per bucket; z lies in a triangle with first vertex p exactly
-    when min(u) + min(-u) <= 0 for some bucket u.
+    opposite it.  Triangle step, from each p of ``pts[start:]`` as the
+    triangle's first vertex there: for v = p - z and every q of
+    ``pts[:start]`` and after p, all at once on the coordinate columns,
+    s = <v, q - z> and w = <v,v>(q - z) - s v, which is orthogonal to v,
+    bucketed by its primitive part u with gcd g.  Only buckets u whose
+    -u occurs too can close a triangle; they keep the least s/g, in the
+    order they first occur, and z lies in a triangle with vertex p
+    exactly when min(u) + min(-u) <= 0 for one.
     """
     code = table.code
     seen: dict[int, IntPoint] = {}
@@ -130,22 +139,27 @@ def _hull_support(z: IntPoint, pts, k: int, table) -> tuple[IntPoint, ...] | Non
         seen.setdefault(u, r)
     if k == 1:
         return None
-    vecs = [(p, tuple(a - b for a, b in zip(p, z))) for p in pts]
-    for i, (p, v) in enumerate(vecs):
+    cols = [[a - b for a in col] for col, b in zip(zip(*pts), z)]  # columns of q - z
+    for i in range(start, len(pts)):
+        v = [col[i] for col in cols]
         vv = sum(c * c for c in v)
+        qs = pts[:start] + pts[i + 1:]
+        vq = [col[:start] + col[i + 1:] for col in cols]
+        s = list(map(sum, zip(*[map(c.__mul__, col) for c, col in zip(v, vq)])))
+        w = [list(map(sub, map(vv.__mul__, col), map(c.__mul__, s))) for c, col in zip(v, vq)]
+        g = [t or 1 for t in map(gcd, *w)]  # w = 0: q on the line through z and p
+        keys = list(zip(*[map(floordiv, col, g) for col in w]))
+        both = {tuple(map(neg, u)) for u in keys}.intersection(keys)
+        both.discard((0,) * len(z))
         lows: dict[tuple[int, ...], tuple[int, int, IntPoint]] = {}
-        for q, w in vecs[i + 1:]:
-            vw = sum(a * b for a, b in zip(v, w))
-            u, g = linalg.primitive_part(tuple(vv * b - vw * a for a, b in zip(v, w)))
-            if g == 0:
-                continue  # q on the line through z and p
+        for u, sq, gq, q in compress(zip(keys, s, g, qs), map(both.__contains__, keys)):
             low = lows.get(u)
-            if low is None or vw * low[1] < low[0] * g:
-                lows[u] = (vw, g, q)
-        for u, (s, g, q) in lows.items():
-            opposite = lows.get(tuple(-c for c in u))
-            if opposite is not None and s * opposite[1] + opposite[0] * g <= 0:
-                return (p, q, opposite[2])
+            if low is None or sq * low[1] < low[0] * gq:
+                lows[u] = (sq, gq, q)
+        for u, (sq, gq, q) in lows.items():
+            sr, gr, r = lows[tuple(map(neg, u))]
+            if sq * gr + sr * gq <= 0:
+                return pts[i], q, r
     return None
 
 
@@ -154,16 +168,18 @@ def _candidate_additions(s: PointSet, candidates, k: int):
     (support, z) in the order z is added, given a superset of the points
     it could add, such as the lattice points of conv(s).  Candidates are
     retested, because each addition can bring others within reach; the
-    first one is tested against s alone."""
+    first pass tests each against all current points (the first against
+    s alone).  A miss keeps the number of points it was tested against,
+    and its retest looks for triangles only from the points after them."""
     current = list(s.points)
-    pending = [z for z in candidates if z not in s]
-    table = DirectionCodes(current + pending)
+    pending = [(z, 0) for z in candidates if z not in s]
+    table = DirectionCodes(current + [z for z, _ in pending])
     while pending:
         left = []
-        for z in pending:
-            support = _hull_support(z, current, k, table)
+        for z, start in pending:
+            support = _hull_support(z, current, k, table, start)
             if support is None:
-                left.append(z)
+                left.append((z, len(current)))
             else:
                 current.append(z)
                 yield support, z

@@ -1,5 +1,6 @@
 """k-convexity, hulls, integral convexity, hole classification."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -880,6 +881,110 @@ class TestHullSupportKernel:
         assert support((1, 1, 1), tetra, 1) is None
         small = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
         assert support((1, 1, 1), small, 2) is None
+
+
+@st.composite
+def _retest_case(draw):
+    """A point z, points around it in any order, and a start such that no
+    subset of at most 3 of the points before it holds z: a candidate the
+    closure tested against ``pts[:start]`` and now retests."""
+    z, pts = draw(_kernel_case())
+    pts = draw(st.permutations(pts))
+    start = draw(st.integers(0, len(pts)))
+    assume(not any(
+        point_in_conv(z, PointSet.of(sub))
+        for size in (2, 3)
+        for sub in combinations(pts[:start], size)
+    ))
+    return z, pts, start
+
+
+def _retest_starts(s: PointSet):
+    """k_convex_hull(s, 2) and the (start, points) of each kernel call
+    with start > 0 that it made."""
+    starts = []
+    kernel = convexity._hull_support
+
+    def spy(z, pts, k, table, start=0):
+        if start:
+            starts.append((start, len(pts)))
+        return kernel(z, pts, k, table, start)
+
+    with mock.patch.object(convexity, "_hull_support", spy):
+        return k_convex_hull(s, 2), starts
+
+
+class TestRetestFromNewVertices:
+    """A retest runs the triangle step only from the points added since
+    the candidate's last test."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_retest_case())
+    def test_finds_exactly_the_subsets_meeting_the_new_points(self, case):
+        z, pts, start = case
+        support = _hull_support(z, pts, 2, DirectionCodes([z, *pts]), start)
+        new = set(pts[start:])
+        holds = any(
+            new.intersection(sub) and point_in_conv(z, PointSet.of(sub))
+            for size in (2, 3)
+            for sub in combinations(pts, size)
+        )
+        assert (support is not None) == holds
+        if support is not None:
+            assert 2 <= len(support) <= 3 and set(support) <= set(pts)
+            assert point_in_conv(z, PointSet.of(support))
+
+    def test_two_hull_matches_sweep_across_passes(self):
+        gens = _simplex_543_family()[0]
+        new_apexes = 0
+        for s in [gens, *_random_spanning_sets(6, 60, (5, 6), 5)]:
+            hull, starts = _retest_starts(s)
+            assert hull == _closure_sweep(s, 2)
+            new_apexes += sum(n - start for start, n in starts)
+        assert new_apexes > 0  # some retest ran the triangle step
+
+
+def _identity_sets():
+    """1,500 seeded sets of 3 to 8 points in Z^2 and Z^3, then 100 of 3
+    to 6 points in Z^4."""
+    rng = random.Random(2024)
+    out = []
+    for i in range(1600):
+        d = 4 if i >= 1500 else 2 + i % 2
+        hi = {2: 7, 3: 4, 4: 2}[d]
+        size = rng.randint(3, 8 if d < 4 else 6)
+        out.append(PointSet.of([tuple(rng.randint(0, hi) for _ in range(d)) for _ in range(size)]))
+    return out
+
+
+class TestClosureIdentity:
+    """The k <= 2 closure gives, byte for byte, the hulls, verdicts,
+    witnesses and hole reports it gave before the triangle step went
+    column-wise and retests ran from new vertices only: sha256 of the
+    ``repr`` lines over ``_identity_sets``, pinned from that version."""
+
+    DIGESTS = {
+        "classify_holes": "3e16ef22ec629be73e2cc8214b72e140f4c1d4c9f60aad51a6822181cad4fc3f",
+        "k_convex_hull_1": "387907b63ea9bbd7d28f289dfc84c65102f2083e1afb8e85175d5667374297e8",
+        "k_convex_hull_2": "aeeb664b010a7176424af76063c143d0809e015aa02eacbaf3a7d73b53cb7ed9",
+        "is_k_convex_1": "a8473ab65ee3de8ea3a21ab9df4fffae058e3a059294dda93ff23cd3a70f6f42",
+        "is_k_convex_2": "a17110165d5b393364d10e9bddad291ab6194bec794780f0adeae99a11a9f164",
+    }
+
+    def test_same_repr_as_before(self):
+        sets = _identity_sets()
+        checks = {
+            "classify_holes": classify_holes,
+            "k_convex_hull_1": lambda s: k_convex_hull(s, 1),
+            "k_convex_hull_2": lambda s: k_convex_hull(s, 2),
+            "is_k_convex_1": lambda s: is_k_convex(s, 1),
+            "is_k_convex_2": lambda s: is_k_convex(s, 2),
+        }
+        got = {
+            name: hashlib.sha256("\n".join(repr(f(s)) for s in sets).encode()).hexdigest()
+            for name, f in checks.items()
+        }
+        assert got == self.DIGESTS
 
 
 # The tuple-based segment step that the hull prune and the 1-hull ran
