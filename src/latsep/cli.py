@@ -72,9 +72,9 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _point_list(raw, dim: int, where: str) -> list[tuple[int, ...]]:
+def _point_list(raw, dim: int, path: str, field: str) -> list[tuple[int, ...]]:
     if not isinstance(raw, list):
-        raise InstanceFormatError(f"field {where!r} must be a list of points")
+        raise InstanceFormatError(f"{path}: field {field!r} must be a list of points")
     pts = []
     for i, entry in enumerate(raw):
         if (
@@ -83,7 +83,7 @@ def _point_list(raw, dim: int, where: str) -> list[tuple[int, ...]]:
             or not all(_is_int(v) for v in entry)
         ):
             raise InstanceFormatError(
-                f"field {where!r}, entry {i}: expected a vector of {dim} integers"
+                f"{path}: field {field!r}, entry {i}: expected a vector of {dim} integers"
             )
         pts.append(tuple(entry))
     return pts
@@ -105,8 +105,8 @@ def parse_instance(path: str):
         raise InstanceFormatError(f"{path}: field 'dim' must be a positive integer")
     keys = [k for k in ("S", "A", "B", "simplex", "box") if k in data]
     if keys == ["A", "B"]:
-        a = _point_list(data["A"], dim, "A")
-        b = _point_list(data["B"], dim, "B")
+        a = _point_list(data["A"], dim, path, "A")
+        b = _point_list(data["B"], dim, path, "B")
         if not a or not b:
             raise InstanceFormatError(f"{path}: 'A' and 'B' must both be nonempty")
         clash = sorted(set(a) & set(b))
@@ -116,12 +116,12 @@ def parse_instance(path: str):
             )
         return Partition.of(a, b, dim)
     if keys == ["S"]:
-        pts = _point_list(data["S"], dim, "S")
+        pts = _point_list(data["S"], dim, path, "S")
         if not pts:
             raise InstanceFormatError(f"{path}: 'S' must be nonempty")
         return PointSet.of(pts, dim)
     if keys == ["simplex"]:
-        verts = _point_list(data["simplex"], dim, "simplex")
+        verts = _point_list(data["simplex"], dim, path, "simplex")
         if not verts:
             raise InstanceFormatError(f"{path}: 'simplex' must list vertices")
         _check_span(path, *bounding_box(verts))
@@ -130,7 +130,7 @@ def parse_instance(path: str):
         box = data["box"]
         if not (isinstance(box, list) and len(box) == 2):
             raise InstanceFormatError(f"{path}: 'box' must be [lo, hi]")
-        lo, hi = _point_list(box, dim, "box")
+        lo, hi = _point_list(box, dim, path, "box")
         if any(l > h for l, h in zip(lo, hi)):
             raise InstanceFormatError(f"{path}: 'box' corners are out of order")
         _check_span(path, lo, hi)
@@ -454,7 +454,8 @@ MAX_HUNT_BOX = next(b for b in count() if (b + 2) ** 3 > MAX_INSTANCE_POINTS)
 # Largest 'check par --k': the sumset integers stay within
 # conditions._KRONECKER_MAX_BITS (32 MiB in all) at any k, but past it the
 # check enumerates C(n + k, k) multisets per side of n points, which grows
-# fast with k; the catalog needs k <= 5.
+# fast with k, and refuses more than conditions._MAX_ENUMERATED_SUMS of
+# them; the catalog needs k <= 5.
 MAX_PAR_K = 16
 
 # Largest 'explore conjecture --max-size': the 27 points of {0,1,2}^3,

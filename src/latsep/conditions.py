@@ -120,6 +120,10 @@ _KRONECKER_MAX_BITS = 1 << 28
 # algorithm notes in docs/).
 _DIGITS_PER_SUM = 2
 
+# Most multisets the enumeration path may cover (as many as the lattice
+# points an instance may span): C(n + k, k) grows (n + k)/k-fold per k.
+_MAX_ENUMERATED_SUMS = 2 * 10**6
+
 
 def check_parallelogram(p: Partition, k: int) -> Verdict:
     """No k' <= k points of A (with repetition) may share a coordinate
@@ -128,7 +132,8 @@ def check_parallelogram(p: Partition, k: int) -> Verdict:
     Decided on the k'-fold sumsets encoded as big integers
     (_parallelogram_by_kronecker), unless the points are so few or so
     spread out that enumerating the multisets is cheaper, or the 2k
-    integers it keeps would exceed _KRONECKER_MAX_BITS in all.  Both
+    integers it keeps would exceed _KRONECKER_MAX_BITS in all; LatsepError
+    when that enumeration would cover more than _MAX_ENUMERATED_SUMS.  Both
     paths return the same witness: the first B multiset in
     ``combinations_with_replacement`` order whose sum A also reaches,
     and the first A multiset with that sum, at the least failing order.
@@ -139,6 +144,9 @@ def check_parallelogram(p: Partition, k: int) -> Verdict:
     sums = comb(len(p.a) + k, k) + comb(len(p.b) + k, k) - 2
     kept_bits = 2 * max(k, 2) * digits * _digit_bytes(p) * 8
     if kept_bits > _KRONECKER_MAX_BITS or digits > _DIGITS_PER_SUM * sums:
+        if sums > _MAX_ENUMERATED_SUMS:
+            raise LatsepError(f"the {k}-parallelogram check would enumerate {sums} "
+                              f"multisets, more than {_MAX_ENUMERATED_SUMS}")
         return _parallelogram_by_enumeration(p, k, codes)
     return _parallelogram_by_kronecker(p, k, codes, digits)
 

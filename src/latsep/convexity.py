@@ -1,23 +1,24 @@
 """k-convexity, hull closures, integral convexity and hole analysis.
 
 The closure step adds the lattice points of the hulls of at most k+1
-members.  It is written once per regime, as a generator of (support,
-point) that repeats the step until a pass adds nothing:
-``_sweep_additions`` enumerates the subsets, and ``_candidate_additions``
-(k <= 2) tests each lattice point of conv(S) with an integer kernel that
-finds at most k+1 current points whose hull holds it, and retests a miss
-only for triangles with a vertex added since.  ``is_k_convex``
-reads its witness off the first addition; ``k_convex_hull`` and
-``classify_holes`` take them all.  Lattice points of a simplex are found
-with integer arithmetic only, none for affinely dependent subsets (their
-hulls are covered by smaller subsets), through ``geometry.lattice_points``
-on integer barycentric forms; see the algorithm notes in docs/.
+members.  ``_hull_additions`` is its one entry: a generator of (support,
+point) that stops at the last lattice point of conv(S) missing from S.
+Below it, ``_sweep_additions`` enumerates the subsets, and
+``_candidate_additions`` (k <= 2) tests each lattice point of conv(S)
+with an integer kernel that finds at most k+1 current points whose hull
+holds it, retesting a miss only for triangles with a vertex added since.
+``is_k_convex`` reads its witness off the first addition (for k = 1, of
+the pair sweep); ``k_convex_hull`` and ``classify_holes`` take them all.
+Lattice points of a simplex are found with integer arithmetic only, none
+for affinely dependent subsets (their hulls are covered by smaller
+subsets), through ``geometry.lattice_points`` on integer barycentric
+forms; see the algorithm notes in docs/.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, compress, product
+from itertools import combinations, compress, islice, product
 from math import gcd, lcm
 from operator import floordiv, neg, sub
 
@@ -225,8 +226,10 @@ def _rank(s: PointSet) -> int:
 
 
 def _hull_additions(s: PointSet, k: int, lattice):
-    """The k-hull closure's additions to s, given conv(s)'s lattice points."""
-    return _candidate_additions(s, lattice, k) if k <= 2 else _sweep_additions(s, k)
+    """The k-hull closure's additions to s, given conv(s)'s lattice points;
+    each is one of those missing from s, so it stops at the last of them."""
+    additions = _candidate_additions(s, lattice, k) if k <= 2 else _sweep_additions(s, k)
+    return islice(additions, len(lattice) - len(s.points))
 
 
 def is_k_convex(s: PointSet, k: int) -> Verdict:
@@ -244,12 +247,9 @@ def is_k_convex(s: PointSet, k: int) -> Verdict:
         missing = hole.witness.missing
         support = convex_combination_support(missing, s)
         return Verdict(False, ConvexityWitness(tuple(sorted(support)), missing))
-    if k == 2:
-        # Every point a hull of <= 3 members holds is a lattice point of
-        # conv(s), so those candidates are all that needs testing.
-        additions = _candidate_additions(s, lattice_points_in_conv(s).points, 2)
-    else:
-        additions = _sweep_additions(s, k)
+    # The k = 1 pair sweep needs no lattice points, and its order picks the witness.
+    additions = (_sweep_additions(s, 1) if k == 1
+                 else _hull_additions(s, k, lattice_points_in_conv(s).points))
     for support, z in additions:
         return Verdict(False, ConvexityWitness(tuple(sorted(support)), z))
     return Verdict(True)
@@ -391,7 +391,5 @@ def classify_holes(a: PointSet) -> list[HoleReport]:
     for k in range(1, rank):
         added = tuple(z for _, z in _hull_additions(hull, k, full.points))
         first_k.update(dict.fromkeys(added, k))
-        if len(first_k) == len(holes):
-            break
         hull = PointSet(a.dim, tuple(sorted(hull.points + added)))
     return [HoleReport(z, first_k.get(z, rank)) for z in holes]

@@ -260,24 +260,6 @@ def oracle_one_convex(points) -> bool:
     return True
 
 
-def oracle_hole_free_2d(points) -> bool:
-    pts = sorted(set(points))
-    h = hull2d(pts)
-    if len(h) == 1:
-        return True
-    if len(h) == 2:
-        return set(segment_points(h[0], h[1])) <= set(pts)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    n = len(h)
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if all(cross(h[i], h[(i + 1) % n], (x, y)) >= 0 for i in range(n)):
-                if (x, y) not in set(pts):
-                    return False
-    return True
-
-
 def oracle_simplex_543_member(p) -> bool:
     x, y, z = p
     return x >= 0 and y >= 0 and z >= 0 and 12 * x + 15 * y + 20 * z <= 60

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from latsep import catalog, cli
+from latsep import catalog, cli, conditions
 from latsep.cli import MAX_PAR_K, main, parse_flag_file, parse_instance
 from latsep.conditions import Partition
 from latsep.errors import InstanceFormatError
@@ -312,6 +313,28 @@ class TestExitCodes:
             assert f"got '{k}'" in capsys.readouterr().err
         assert main(["check", "par", "--k", str(MAX_PAR_K), path]) == 0
 
+    def test_par_refuses_to_enumerate_past_its_bound(self, tmp_path, capsys, monkeypatch):
+        # 20 spread points a side that a flag separates: k = 16 would
+        # enumerate C(36, 16) multisets a side, and each order costs
+        # about 4 times the last
+        rng = random.Random(5)
+
+        def side(lo, hi):
+            return [[rng.randint(lo, hi), rng.randint(0, 1000), rng.randint(0, 1000)]
+                    for _ in range(20)]
+
+        path = _write(tmp_path, "spread.json", {"dim": 3, "A": side(0, 400), "B": side(600, 1000)})
+        assert main(["check", "par", "--k", "2", path]) == 0
+        capsys.readouterr()
+
+        def enumerate_(*args):
+            raise AssertionError("the multisets were enumerated")
+
+        monkeypatch.setattr(conditions, "_parallelogram_by_enumeration", enumerate_)
+        assert main(["check", "par", "--k", "16", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "multisets" in err
+
     @pytest.mark.parametrize(
         "flag",
         [
@@ -427,6 +450,64 @@ class TestExitCodes:
             assert err.startswith("error: checkpoint")
             assert "dims=[2, 3]" in err and 'kind="equivalence"' in err
             assert path.read_bytes() == stored
+
+
+_GAP = {"dim": 2, "A": [[1, 0]], "B": [[0, 0]]}
+
+
+def _flag(normal=(1, 0), offset=0, owner="A"):
+    return {"dim": 2, "functionals": [{"normal": list(normal), "offset": offset}],
+            "residual_owner": owner}
+
+
+# One case per refusal branch: the files to write, the command (a file
+# name in it stands for its path), and the file the message must name.
+_REFUSALS = {
+    "point field not a list": ({"i.json": {"dim": 2, "S": 5}}, ["holes", "i.json"], "i.json"),
+    "point entry too short": ({"i.json": {"dim": 2, "S": [[0]]}}, ["holes", "i.json"], "i.json"),
+    "empty A": ({"i.json": {"dim": 2, "A": [], "B": [[0, 0]]}}, ["separate", "i.json"], "i.json"),
+    "empty B": ({"i.json": {"dim": 2, "A": [[0, 0]], "B": []}}, ["separate", "i.json"], "i.json"),
+    "empty S": ({"i.json": {"dim": 2, "S": []}}, ["holes", "i.json"], "i.json"),
+    "empty simplex": ({"i.json": {"dim": 2, "simplex": []}}, ["holes", "i.json"], "i.json"),
+    "box not a pair": ({"i.json": {"dim": 2, "box": [[0, 0]]}}, ["holes", "i.json"], "i.json"),
+    "box reversed": (
+        {"i.json": {"dim": 2, "box": [[2, 0], [0, 2]]}}, ["holes", "i.json"], "i.json"
+    ),
+    "flag owner": ({"i.json": _GAP, "f.json": _flag(owner="C")},
+                   ["verify-flag", "i.json", "--flag", "f.json"], "f.json"),
+    "flag without offset": (
+        {"i.json": _GAP, "f.json": {**_flag(), "functionals": [{"normal": [1, 0]}]}},
+        ["verify-flag", "i.json", "--flag", "f.json"], "f.json",
+    ),
+    "flag normal too short": ({"i.json": _GAP, "f.json": _flag(normal=(1,))},
+                              ["verify-flag", "i.json", "--flag", "f.json"], "f.json"),
+    "flag coefficient 1/0": ({"i.json": _GAP, "f.json": _flag(normal=("1/0", 0))},
+                             ["verify-flag", "i.json", "--flag", "f.json"], "f.json"),
+    "flag coefficient abc": ({"i.json": _GAP, "f.json": _flag(offset="abc")},
+                             ["verify-flag", "i.json", "--flag", "f.json"], "f.json"),
+    "separate on S": ({"i.json": {"dim": 2, "S": [[0, 0]]}}, ["separate", "i.json"], None),
+    "lemma49 on 4 points": ({"i.json": {"dim": 2, "S": [[0, 0], [1, 0], [0, 1], [1, 1]]}},
+                            ["lemma49", "i.json"], None),
+    "grid 0x3": ({}, ["explore", "equivalence", "--grid", "0x3"], None),
+    "grid axb": ({}, ["explore", "equivalence", "--grid", "axb"], None),
+    "checkpoint violations not a list": (
+        {"cp.json": {"kind": "equivalence", "dims": [2, 2], "family": "integrally-convex",
+                     "left": "parallelogram-2", "right": "flag", "cursor": 0,
+                     "sets_checked": 0, "partitions_checked": 0, "violations": 5}},
+        ["explore", "equivalence", "--grid", "2x2", "--checkpoint", "cp.json"], "cp.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("files, command, named", _REFUSALS.values(), ids=list(_REFUSALS))
+def test_refusal_exits_2_with_an_error_line(tmp_path, capsys, files, command, named):
+    paths = {name: _write(tmp_path, name, obj) for name, obj in files.items()}
+    assert main([paths.get(arg, arg) for arg in command]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in err and not out
+    if named:
+        # the file is named, so a run over several files shows which failed
+        assert paths[named] in err
 
 
 class TestCommands:

@@ -987,6 +987,71 @@ class TestClosureIdentity:
         assert got == self.DIGESTS
 
 
+def _count_simplex_calls(run):
+    """run() and the number of ``_simplex_points`` calls it made."""
+    calls = []
+    simplex_points = convexity._simplex_points
+
+    def spy(points):
+        calls.append(points)
+        return simplex_points(points)
+
+    with mock.patch.object(convexity, "_simplex_points", spy):
+        return run(), len(calls)
+
+
+# 9 points in Z^4 with 50 lattice points in their hull, 41 of them holes
+_FOUND_SET = PointSet.of([
+    (-2, -1, 0, 0), (0, -2, 1, -1), (0, 1, 2, -2), (1, -2, -1, 2), (1, 0, 2, 2),
+    (1, 1, 0, -2), (1, 2, -2, -2), (1, 2, -1, 2), (2, -1, 0, 2),
+])
+
+
+class TestClosureStopsAtLastMissingPoint:
+    """Each closure yields at most as many additions as conv(s) has
+    lattice points missing from s, and stops there: work is counted in
+    ``_simplex_points`` calls, not timed."""
+
+    def test_z4_hole_classes_with_few_simplices(self):
+        reports, calls = _count_simplex_calls(lambda: classify_holes(_FOUND_SET))
+        digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+        assert digest == "4d093388fa60b877d450cdbef7bc53df7650cf45d9334e423b2c63f43dccc3f4"
+        assert [sum(r.first_k == k for r in reports) for k in (1, 2, 3)] == [25, 9, 7]
+        assert calls <= 25_000  # 251,125 while the last sweep ran to its end
+
+    @pytest.mark.parametrize("hi", [(2, 2, 2, 1), (3, 3, 3, 3)])
+    def test_hole_free_box_sweeps_nothing(self, hi):
+        box = PointSet.of(box_points((0, 0, 0, 0), hi))
+        got, calls = _count_simplex_calls(lambda: (is_k_convex(box, 3), k_convex_hull(box, 3)))
+        assert got == (Verdict(True), box)
+        assert calls == 0
+
+    def test_box_with_one_hole_stops_at_it(self):
+        box = PointSet.of(box_points((0, 0, 0, 0), (2, 2, 2, 1)))
+        s = PointSet.of([p for p in box.points if p != (1, 1, 1, 0)])
+        hull, calls = _count_simplex_calls(lambda: k_convex_hull(s, 3))
+        assert hull == box
+        assert calls <= 100  # the sweep finds the hole in 51; C(53, 4) subsets follow it
+
+    def test_matches_unbounded_sweep_in_z4(self):
+        rng = random.Random(25)
+        checked = failing = 0
+        while checked < 60:
+            size = rng.randint(5, 7)
+            s = PointSet.of([tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(size)])
+            if len(affine_hull_basis(s)[1]) < 4:
+                continue  # k = 3 below the rank runs the closure
+            checked += 1
+            assert k_convex_hull(s, 3) == _closure_sweep(s, 3)
+            want = _sweep_is_k_convex(s, 3)
+            if not want.holds:
+                failing += 1
+                w = want.witness
+                want = Verdict(False, ConvexityWitness(tuple(sorted(w.subset)), w.missing))
+            assert is_k_convex(s, 3) == want
+        assert 0 < failing < checked
+
+
 # The tuple-based segment step that the hull prune and the 1-hull ran
 # before the shared direction kernel (``geometry.DirectionCodes``), kept
 # verbatim with the triangle step around it as their reference.

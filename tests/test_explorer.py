@@ -103,6 +103,30 @@ class TestEquivalence:
         assert len(resumed.violations) == len(fresh.violations)
         assert partial.sets_checked <= fresh.sets_checked
 
+    def test_resume_after_a_periodic_save_matches_fresh(self, tmp_path, monkeypatch):
+        # a sweep cut off right after its first periodic save (every 64
+        # sets) resumes from that save to the report of an uncut sweep
+        run = ((3, 3), "hole-free", "parallelogram-2", "flag")
+        cp = tmp_path / "cp.json"
+        save = explorer._save_checkpoint
+
+        class Cut(Exception):
+            pass
+
+        def save_then_cut(*args, **kwargs):
+            save(*args, **kwargs)
+            raise Cut
+
+        with monkeypatch.context() as patch:
+            patch.setattr(explorer, "_save_checkpoint", save_then_cut)
+            with pytest.raises(Cut):
+                explorer.test_equivalence(*run, checkpoint=str(cp))
+        saved = json.loads(cp.read_text())
+        assert saved["sets_checked"] == 64
+        fresh = explorer.test_equivalence(*run)
+        assert fresh.sets_checked > 64 and fresh.violations
+        assert explorer.test_equivalence(*run, checkpoint=str(cp)) == fresh
+
     def test_checkpoint_of_other_settings_is_refused(self, tmp_path):
         # the error names what the file holds, and the file is not touched
         cp = tmp_path / "cp.json"
