@@ -41,6 +41,7 @@ from .convexity import (
     k_convex_hull,
 )
 from .errors import (
+    DimensionMismatchError,
     EmptyInteriorError,
     InstanceFormatError,
     InvalidFlagError,
@@ -212,9 +213,9 @@ def _print_flag(flag: SeparatingFlag) -> None:
     print(json.dumps(flag_to_json(flag), sort_keys=True))
 
 
-def _require_partition(obj, what: str) -> Partition:
+def _require_partition(obj, path: str, what: str) -> Partition:
     if not isinstance(obj, Partition):
-        raise InstanceFormatError(f"{what} needs an instance with 'A' and 'B'")
+        raise InstanceFormatError(f"{path}: {what} needs an instance with 'A' and 'B'")
     return obj
 
 
@@ -274,7 +275,7 @@ _CHECKS = {
 def _cmd_check(args) -> int:
     decide, on_partition, holds, fails = _CHECKS[args.condition]
     obj = parse_instance(args.file)
-    obj = (_require_partition(obj, f"check {args.condition}") if on_partition
+    obj = (_require_partition(obj, args.file, f"check {args.condition}") if on_partition
            else _as_point_set(obj, args.file))
     v = decide(obj, args)
     print(holds.format(**vars(args)) if v.holds else fails(v.witness))
@@ -282,7 +283,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_separate(args) -> int:
-    p = _require_partition(parse_instance(args.file), "separate")
+    p = _require_partition(parse_instance(args.file), args.file, "separate")
     v = search_flag(p)
     if v.holds:
         _print_flag(v.witness)
@@ -301,7 +302,7 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_verify_flag(args) -> int:
-    p = _require_partition(parse_instance(args.file), "verify-flag")
+    p = _require_partition(parse_instance(args.file), args.file, "verify-flag")
     flag = parse_flag_file(args.flag)
     try:
         ok = verify_flag(p, flag)
@@ -333,10 +334,12 @@ def _cmd_holes(args) -> int:
 def _cmd_lemma49(args) -> int:
     s = _as_point_set(parse_instance(args.file), args.file)
     if s.dim != 2 or len(s) != 3:
-        raise InstanceFormatError("lemma49 needs exactly three points in dimension 2")
-    tri = MinimalTriangle(*s.points)
+        raise InstanceFormatError(f"{args.file}: lemma49 needs exactly three points in dimension 2")
     try:
+        tri = MinimalTriangle(*s.points)
         b1, b2, b3 = lemma_triple(tri)
+    except DimensionMismatchError as e:  # collinear, or an edge holds a lattice point
+        raise InstanceFormatError(f"{args.file}: {e}") from None
     except EmptyInteriorError as e:
         print(f"no interior points: {e}", file=sys.stderr)
         return EXIT_FAILS
@@ -451,11 +454,11 @@ _positive_int = _int_in(1, None, "a positive integer")
 # most MAX_INSTANCE_POINTS lattice points like an instance file's.
 MAX_HUNT_BOX = next(b for b in count() if (b + 2) ** 3 > MAX_INSTANCE_POINTS)
 
-# Largest 'check par --k': the sumset integers stay within
-# conditions._KRONECKER_MAX_BITS (32 MiB in all) at any k, but past it the
-# check enumerates C(n + k, k) multisets per side of n points, which grows
-# fast with k, and refuses more than conditions._MAX_ENUMERATED_SUMS of
-# them; the catalog needs k <= 5.
+# Largest 'check par --k': the sumset bitsets stay within
+# conditions._BITSET_MAX_BITS (32 MiB in all) at any k, but past it the
+# check keeps sets of the C(n + k, k) multiset sums per side of n points,
+# which grow fast with k, and refuses more than
+# conditions._MAX_ENUMERATED_SUMS of them; the catalog needs k <= 5.
 MAX_PAR_K = 16
 
 # Largest 'explore conjecture --max-size': the 27 points of {0,1,2}^3,

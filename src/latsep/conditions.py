@@ -2,9 +2,8 @@
 
 * the k-parallelogram condition: no k' <= k points of one side share a
   coordinate sum with k' points of the other (repetition allowed),
-  decided on the k'-fold sumsets encoded as big integers, one multiply
-  per order and side (multiset enumeration for few, widely spread
-  points);
+  decided on the k'-fold sumsets, kept as bitsets, one shift and OR per
+  order, side and point (sets of sums for few, widely spread points);
 * the ray condition: on every line meeting both sides, one side's points
   are a prefix or a suffix of the line's trace;
 * flag separation: the two sides are split by a nested chain of affine
@@ -32,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd
-from operator import mul
+from operator import mul, or_
 
 from . import linalg
 from .errors import DimensionMismatchError, InvalidFlagError, LatsepError
@@ -104,37 +103,44 @@ class SeparatingFlag:
 # ---------------------------------------------------------------------------
 # parallelogram condition
 
-# Most bits the sumset check keeps in its dense Kronecker integers, 32 MiB.
-# It keeps 2k of them, each of (k*span + 1)^d digits, so points far apart
-# in a big box or a large k would need gigabytes; above this budget the
-# check enumerates multisets instead, which is the only path such inputs
-# can take.  Charging k <= 2 for four integers keeps their cap at 8 MiB
-# per integer.
-_KRONECKER_MAX_BITS = 1 << 28
+# Most bits the bitsets may take in all, 32 MiB: the check keeps 2k of
+# them, one per order and side, each of up to D = (k*span + 1)^d bits,
+# so points far apart in a big box, or a large k, take sets of sums.
+_BITSET_MAX_BITS = 1 << 28
 
-# Enumeration builds each order's sums from the last order's distinct
-# ones, while every digit of the dense integers costs work, more of it
-# as they grow.  Few points spread over a big box are therefore cheaper
-# to enumerate: that path is taken when the integers have more than this
-# many digits per multiset sum (measured break-even: 2, see the
-# algorithm notes in docs/).
-_DIGITS_PER_SUM = 2
+# A set costs work per distinct sum and a bitset per bit, but far less
+# per bit: sets are kept when the bitsets would have more than this many
+# bits per multiset sum (measured break-even, algorithm notes in docs/).
+_DIGITS_PER_SUM = 64
 
-# Most multisets the enumeration path may cover (as many as the lattice
-# points an instance may span): C(n + k, k) grows (n + k)/k-fold per k.
+# Most multisets the set kind may cover (as many as the lattice points
+# an instance may span): C(n + k, k) grows (n + k)/k-fold per k.
 _MAX_ENUMERATED_SUMS = 2 * 10**6
+
+
+# A side's sums of one order, as an int with bit c set for each code sum
+# c or as a set: (no points' sums, next order's sums, targets less c in rest)
+_BITSETS = (
+    1,
+    lambda sums, codes: reduce(or_, (sums << c for c in codes)),
+    lambda targets, c, rest: (targets >> c) & rest,
+)
+_SETS = (
+    frozenset({0}),
+    lambda sums, codes: {s + c for s in sums for c in codes},
+    lambda targets, c, rest: {t - c for t in targets} & rest,
+)
 
 
 def check_parallelogram(p: Partition, k: int) -> Verdict:
     """No k' <= k points of A (with repetition) may share a coordinate
     sum with k' points of B.
 
-    Decided on the k'-fold sumsets encoded as big integers
-    (_parallelogram_by_kronecker), unless the points are so few or so
-    spread out that enumerating the multisets is cheaper, or the 2k
-    integers it keeps would exceed _KRONECKER_MAX_BITS in all; LatsepError
-    when that enumeration would cover more than _MAX_ENUMERATED_SUMS.  Both
-    paths return the same witness: the first B multiset in
+    Decided on the k'-fold sumsets (_parallelogram_on), kept as bitsets
+    unless the points are so few or so spread out that sets of sums are
+    cheaper, or the 2k bitsets would exceed _BITSET_MAX_BITS in all;
+    LatsepError when the sets would cover more than _MAX_ENUMERATED_SUMS
+    multisets.  The witness is the first B multiset in
     ``combinations_with_replacement`` order whose sum A also reaches,
     and the first A multiset with that sum, at the least failing order.
     """
@@ -142,117 +148,54 @@ def check_parallelogram(p: Partition, k: int) -> Verdict:
         raise ValueError("k must be >= 1")
     codes, digits = point_codes(p.a.points + p.b.points, k)
     sums = comb(len(p.a) + k, k) + comb(len(p.b) + k, k) - 2
-    kept_bits = 2 * max(k, 2) * digits * _digit_bytes(p) * 8
-    if kept_bits > _KRONECKER_MAX_BITS or digits > _DIGITS_PER_SUM * sums:
-        if sums > _MAX_ENUMERATED_SUMS:
-            raise LatsepError(f"the {k}-parallelogram check would enumerate {sums} "
-                              f"multisets, more than {_MAX_ENUMERATED_SUMS}")
-        return _parallelogram_by_enumeration(p, k, codes)
-    return _parallelogram_by_kronecker(p, k, codes, digits)
+    if 2 * k * digits <= _BITSET_MAX_BITS and digits <= _DIGITS_PER_SUM * sums:
+        return _parallelogram_on(p, k, codes, _BITSETS)
+    if sums > _MAX_ENUMERATED_SUMS:
+        raise LatsepError(f"the {k}-parallelogram check would enumerate {sums} "
+                          f"multisets, more than {_MAX_ENUMERATED_SUMS}")
+    return _parallelogram_on(p, k, codes, _SETS)
 
 
-def _digit_bytes(p: Partition) -> int:
-    """Bytes per Kronecker digit: a digit of supp(S) * P counts pairs, so
-    it is at most the side's size, which must stay below 2**(w-1)."""
-    return (max(len(p.a), len(p.b)).bit_length() + 8) // 8
-
-
-def _parallelogram_by_kronecker(p: Partition, k: int, codes, digits: int) -> Verdict:
-    """check_parallelogram on big integers, one multiply per order and side;
-    ``codes, digits`` are ``point_codes`` of A's points then B's, for k.
-
-    A side becomes the integer with a 1 in digit ``code`` of w bits, and
-    its order-j sumset the 1-digits of supp(S_{j-1} * P), the digits
-    reset to 0/1 by a mask so that they stay below 2**(w-1).  The check
-    fails at the first order where both sides have a 1 in the same
-    digit; the witness is recovered by peeling points off against the
-    lower orders.  The algorithm notes in docs/ give the bounds and the
-    proofs.
-    """
-    a_pts = p.a.points
-    b_pts = p.b.points
-    width = _digit_bytes(p)
-    w = width * 8
-    fill = int.from_bytes((b"\xff" * (width - 1) + b"\x7f") * digits, "little")
-    ones = int.from_bytes((b"\x01" + b"\x00" * (width - 1)) * digits, "little")
-
-    def encode(codes):
-        buf = bytearray((max(codes) + 1) * width)
-        for c in codes:
-            buf[c * width] = 1
-        return int.from_bytes(buf, "little")
-
-    def shifted(targets, c, rest):  # the digits of targets less c in rest
-        return (targets >> c * w) & rest
-
+def _parallelogram_on(p: Partition, k: int, codes, kind) -> Verdict:
+    """check_parallelogram on each side's sums of each order, kept as
+    ``kind`` (_BITSETS or _SETS), for ``codes`` the ``point_codes`` of A's
+    points then B's: it fails at the first order where the sides share a
+    sum, and peels the witness off against the lower orders."""
+    empty, grow, less = kind
+    a_pts, b_pts = p.a.points, p.b.points
     a_codes, b_codes = codes[: len(a_pts)], codes[len(a_pts):]
-    a_poly = encode(a_codes)
-    b_poly = encode(b_codes)
-    a_supp = [1, a_poly]  # a_supp[j]: 0/1 digits of the order-j sumset
-    b_supp = [1, b_poly]
+    a_sums, b_sums = [empty], [empty]
     for order in range(1, k + 1):
-        if order > 1:
-            a_supp.append(((a_supp[-1] * a_poly + fill) >> (w - 1)) & ones)
-            b_supp.append(((b_supp[-1] * b_poly + fill) >> (w - 1)) & ones)
-        common = a_supp[order] & b_supp[order]
+        a_sums.append(grow(a_sums[-1], a_codes))
+        b_sums.append(grow(b_sums[-1], b_codes))
+        common = a_sums[order] & b_sums[order]
         if common:
-            right, total = _first_multiset(b_pts, b_codes, b_supp, order, common, shifted)
-            left, _ = _first_multiset(a_pts, a_codes, a_supp, order, 1 << total * w, shifted)
+            right, total = _first_multiset(b_pts, b_codes, b_sums, order, common, less)
+            left, _ = _first_multiset(a_pts, a_codes, a_sums, order, grow(empty, [total]), less)
             vec = tuple(sum(c) for c in zip(*right))
             return Verdict(False, ParallelogramWitness(order, left, right, vec))
     return Verdict(True)
 
 
-def _first_multiset(pts, codes, supp, order, targets, step):
+def _first_multiset(pts, codes, sums, order, targets, less):
     """The first ``order``-multiset of ``pts`` in
     ``combinations_with_replacement`` order whose code sum is one of
-    ``targets``, and that sum; ``supp[j]`` holds the order-j sums, and
-    ``step(targets, c, rest)`` gives the targets less c that are in rest.
+    ``targets``, and that sum; ``sums[j]`` holds the order-j sums, and
+    ``less(targets, c, rest)`` gives the targets less c that are in rest.
 
     Greedy peeling finds it: the smallest index i whose code, taken off
     some target, leaves a sum of order - 1 points (one in
-    ``supp[order - 1]``) is the first point of the first such multiset,
+    ``sums[order - 1]``) is the first point of the first such multiset,
     and no point after it needs a smaller index.
     """
     chosen, total, i = [], 0, 0
     for remaining in range(order - 1, -1, -1):
-        rest = supp[remaining]
-        i = next(j for j in range(i, len(pts)) if step(targets, codes[j], rest))
+        rest = sums[remaining]
+        i = next(j for j in range(i, len(pts)) if less(targets, codes[j], rest))
         chosen.append(pts[i])
         total += codes[i]
-        targets = step(targets, codes[i], rest)
+        targets = less(targets, codes[i], rest)
     return tuple(chosen), total
-
-
-def _less(targets: set[int], c: int, rest: set[int]) -> set[int]:
-    """The sums of ``targets`` less c that are in ``rest``."""
-    return {t - c for t in targets} & rest
-
-
-def _parallelogram_by_enumeration(p: Partition, k: int, codes) -> Verdict:
-    """check_parallelogram on the sets of multiset sums of each order:
-    the path for few or widely spread points, and the reference the
-    Kronecker path is tested against.
-
-    Sums are compared through ``codes``, the ``point_codes`` of A's
-    points then B's for k: a side's order-j sums are its order j - 1
-    sums plus each of its codes, and the sets stay no larger than the
-    number of distinct sums.  The witness is peeled off as on the
-    Kronecker path.
-    """
-    a_pts, b_pts = p.a.points, p.b.points
-    a_codes, b_codes = codes[: len(a_pts)], codes[len(a_pts):]
-    a_sums, b_sums = [{0}], [{0}]
-    for order in range(1, k + 1):
-        a_sums.append({s + c for s in a_sums[-1] for c in a_codes})
-        b_sums.append({s + c for s in b_sums[-1] for c in b_codes})
-        common = a_sums[order] & b_sums[order]
-        if common:
-            right, total = _first_multiset(b_pts, b_codes, b_sums, order, common, _less)
-            left, _ = _first_multiset(a_pts, a_codes, a_sums, order, {total}, _less)
-            vec = tuple(sum(c) for c in zip(*right))
-            return Verdict(False, ParallelogramWitness(order, left, right, vec))
-    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------

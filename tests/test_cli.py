@@ -327,10 +327,10 @@ class TestExitCodes:
         assert main(["check", "par", "--k", "2", path]) == 0
         capsys.readouterr()
 
-        def enumerate_(*args):
-            raise AssertionError("the multisets were enumerated")
+        def loop(*args):
+            raise AssertionError("the sumset loop ran")
 
-        monkeypatch.setattr(conditions, "_parallelogram_by_enumeration", enumerate_)
+        monkeypatch.setattr(conditions, "_parallelogram_on", loop)
         assert main(["check", "par", "--k", "16", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "multisets" in err
@@ -485,9 +485,15 @@ _REFUSALS = {
                              ["verify-flag", "i.json", "--flag", "f.json"], "f.json"),
     "flag coefficient abc": ({"i.json": _GAP, "f.json": _flag(offset="abc")},
                              ["verify-flag", "i.json", "--flag", "f.json"], "f.json"),
-    "separate on S": ({"i.json": {"dim": 2, "S": [[0, 0]]}}, ["separate", "i.json"], None),
+    "separate on S": ({"i.json": {"dim": 2, "S": [[0, 0]]}}, ["separate", "i.json"], "i.json"),
+    "check ray on S": ({"i.json": {"dim": 2, "S": [[0, 0]]}}, ["check", "ray", "i.json"], "i.json"),
     "lemma49 on 4 points": ({"i.json": {"dim": 2, "S": [[0, 0], [1, 0], [0, 1], [1, 1]]}},
-                            ["lemma49", "i.json"], None),
+                            ["lemma49", "i.json"], "i.json"),
+    "lemma49 on a collinear triple": ({"i.json": {"dim": 2, "S": [[0, 0], [1, 1], [3, 3]]}},
+                                      ["lemma49", "i.json"], "i.json"),
+    "lemma49 with a lattice point on an edge": (
+        {"i.json": {"dim": 2, "S": [[0, 0], [2, 0], [0, 1]]}}, ["lemma49", "i.json"], "i.json"
+    ),
     "grid 0x3": ({}, ["explore", "equivalence", "--grid", "0x3"], None),
     "grid axb": ({}, ["explore", "equivalence", "--grid", "axb"], None),
     "checkpoint violations not a list": (

@@ -130,16 +130,16 @@ def _small_partition(draw):
     return Partition.of(pts[:cut], pts[cut:], dim)
 
 
-def _kronecker(p, k):
-    return conditions._parallelogram_by_kronecker(p, k, *point_codes(p.a.points + p.b.points, k))
+def _bitsets(p, k):
+    return conditions._parallelogram_on(p, k, point_codes(p.a.points + p.b.points, k)[0], conditions._BITSETS)
 
 
-def _enumeration(p, k):
-    return conditions._parallelogram_by_enumeration(p, k, point_codes(p.a.points + p.b.points, k)[0])
+def _sets(p, k):
+    return conditions._parallelogram_on(p, k, point_codes(p.a.points + p.b.points, k)[0], conditions._SETS)
 
 
 def _multiset_enumeration(p, k):
-    """The enumeration path as it was before it kept sets of sums: every
+    """The check as it was before it kept sets of sums: every
     multiset of each order in ``combinations_with_replacement`` order,
     summed from scratch; the independent reference for the witness."""
     a_pts = p.a.points
@@ -160,23 +160,35 @@ def _multiset_enumeration(p, k):
     return Verdict(True)
 
 
+# The kind of sums each former parallelogram path kept, by its name.
+_KINDS = {
+    "_parallelogram_by_kronecker": conditions._BITSETS,
+    "_parallelogram_by_enumeration": conditions._SETS,
+}
+
+
 def _spy(monkeypatch, name, calls):
-    """Record the orders each call of a parallelogram path is given."""
-    original = getattr(conditions, name)
-    monkeypatch.setattr(
-        conditions, name, lambda p, k, *codes: calls.append(k) or original(p, k, *codes)
-    )
+    """Record the orders each call of the sumset loop on the kind of
+    sums that the former path ``name`` kept is given."""
+    original = conditions._parallelogram_on
+
+    def loop(p, k, codes, kind):
+        if kind is _KINDS[name]:
+            calls.append(k)
+        return original(p, k, codes, kind)
+
+    monkeypatch.setattr(conditions, "_parallelogram_on", loop)
 
 
 class TestParallelogramAgainstEnumeration:
-    """The Kronecker sumset check against the multiset enumeration it
-    falls back to."""
+    """The sumset check on bitsets against the same loop on sets of sums,
+    and both against multiset enumeration."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_small_partition(), st.integers(1, 5))
     def test_same_verdict_and_witness(self, p, k):
-        got = _kronecker(p, k)
-        want = _enumeration(p, k)
+        got = _bitsets(p, k)
+        want = _sets(p, k)
         assert got.holds == want.holds
         assert check_parallelogram(p, k) == want
         if got.holds:
@@ -192,7 +204,8 @@ class TestParallelogramAgainstEnumeration:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_small_partition(), st.integers(1, 5))
     def test_sum_sets_give_the_multiset_enumeration_witness(self, p, k):
-        assert _enumeration(p, k) == _multiset_enumeration(p, k)
+        # both kinds of sums, since they share the loop and the peel
+        assert _sets(p, k) == _multiset_enumeration(p, k) == _bitsets(p, k)
 
     def test_seeded_cases_fail_at_several_orders(self):
         # A is one point; the check fails at order j when it is the
@@ -205,18 +218,18 @@ class TestParallelogramAgainstEnumeration:
                 continue
             a = pts.pop(rng.randrange(len(pts)))
             p = Partition.of([a], pts)
-            v = _kronecker(p, 5)
-            assert v == _enumeration(p, 5)
+            v = _bitsets(p, 5)
+            assert v == _sets(p, 5)
             if not v.holds:
                 orders.add(v.witness.order)
         assert orders == {2, 3, 4, 5}
 
     def test_digit_counts_above_one_byte(self):
-        # 200 ordered pairs of A sum to 199, so 8-bit digits would overflow
+        # 200 ordered pairs of A share the sum 199, which B's pair reaches
         p = Partition.of([(x,) for x in range(200)], [(-100,), (299,)])
-        v = _kronecker(p, 2)
+        v = _bitsets(p, 2)
         assert not v.holds and v.witness.total == (199,)
-        assert v == _enumeration(p, 2)
+        assert v == _sets(p, 2)
 
     def test_far_apart_points_take_the_enumeration_path(self, monkeypatch):
         calls = []
@@ -229,18 +242,25 @@ class TestParallelogramAgainstEnumeration:
         assert calls == [5, 3]
 
     def test_moderately_spread_points_take_the_enumeration_path(self, monkeypatch):
-        # 81 digits for 18 multiset sums: 4.5 per sum, above the measured
-        # break-even of 2 but below the 8 per sum the rule once allowed
+        # 41 x 41 bits for 18 multiset sums: 93 per sum, above the
+        # measured break-even of 64 but below twice it; the same shape
+        # in a box of width 16 has 33 x 33 bits, 60.5 per sum, and takes
+        # bitsets
         fast, slow = [], []
         _spy(monkeypatch, "_parallelogram_by_kronecker", fast)
         _spy(monkeypatch, "_parallelogram_by_enumeration", slow)
-        p = Partition.of([(0, 0), (4, 1), (1, 4)], [(3, 3), (4, 4), (2, 0)])
+        p = Partition.of([(0, 0), (20, 1), (1, 20)], [(15, 16), (20, 20), (10, 0)])
         _, digits = point_codes(p.a.points + p.b.points, 2)
-        assert conditions._DIGITS_PER_SUM * 18 < digits <= 8 * 18
+        assert conditions._DIGITS_PER_SUM * 18 < digits <= 2 * conditions._DIGITS_PER_SUM * 18
         assert check_parallelogram(p, 2).holds
         assert (fast, slow) == ([], [2])
+        q = Partition.of([(0, 0), (16, 1), (1, 16)], [(12, 13), (16, 16), (8, 0)])
+        _, digits = point_codes(q.a.points + q.b.points, 2)
+        assert conditions._DIGITS_PER_SUM * 17 < digits <= conditions._DIGITS_PER_SUM * 18
+        assert check_parallelogram(q, 2).holds
+        assert (fast, slow) == ([2], [2])
 
-    def test_dense_points_take_the_kronecker_path_below_the_cap(self, monkeypatch):
+    def test_dense_points_take_bitsets_below_cap(self, monkeypatch):
         fast, slow = [], []
         _spy(monkeypatch, "_parallelogram_by_kronecker", fast)
         _spy(monkeypatch, "_parallelogram_by_enumeration", slow)
@@ -248,8 +268,8 @@ class TestParallelogramAgainstEnumeration:
         p = Partition.of([q for q in grid if q[0] < 2], [q for q in grid if q[0] >= 2])
         assert check_parallelogram(p, 3).holds
         assert (fast, slow) == ([3], [])
-        # 13 x 13 digits of 8 bits at k = 3
-        monkeypatch.setattr(conditions, "_KRONECKER_MAX_BITS", 13 * 13 * 8 - 1)
+        # 2k bitsets of 13 x 13 bits at k = 3
+        monkeypatch.setattr(conditions, "_BITSET_MAX_BITS", 2 * 3 * 13 * 13 - 1)
         assert check_parallelogram(p, 3).holds
         assert (fast, slow) == ([3], [3])
 
@@ -258,13 +278,13 @@ class TestParallelogramAgainstEnumeration:
         _spy(monkeypatch, "_parallelogram_by_kronecker", fast)
         _spy(monkeypatch, "_parallelogram_by_enumeration", slow)
         p = Partition.of([(0, 0), (1, 0)], [(0, 1), (1, 1)])
-        # (k + 1)^2 digits of 8 bits per integer; the budget holds k = 2's
-        # four, while k = 5 keeps ten, each alone as large as the budget
-        monkeypatch.setattr(conditions, "_KRONECKER_MAX_BITS", 4 * 9 * 8)
+        # 2k bitsets of (k + 1)^2 bits; the budget holds k = 2's four,
+        # while k = 5 keeps ten, each alone as large as the budget
+        monkeypatch.setattr(conditions, "_BITSET_MAX_BITS", 2 * 2 * 3 * 3)
         for k in (1, 2, 5, 50):
             assert check_parallelogram(p, k).holds
         assert (fast, slow) == ([1, 2], [5, 50])
-        monkeypatch.setattr(conditions, "_KRONECKER_MAX_BITS", 4 * 9 * 8 - 1)
+        monkeypatch.setattr(conditions, "_BITSET_MAX_BITS", 2 * 2 * 3 * 3 - 1)
         assert check_parallelogram(p, 2).holds
         assert (fast, slow) == ([1, 2], [5, 50, 2])
 
@@ -283,6 +303,14 @@ class TestParallelogramAgainstEnumeration:
         v = check_parallelogram(Partition.of([(0,), (500,)], [(1,)]), 1000)
         assert v == Verdict(False, ParallelogramWitness(500, ((0,),) * 499 + ((500,),), ((1,),) * 500, (500,)))
         assert slow == [1000, 1000]
+
+    def test_dense_window_holds_at_large_k_on_bitsets(self, monkeypatch):
+        # the 61 x 61 window at k = 16: 2k bitsets of 961^2 bits fit the
+        # budget, while sets would cover more multisets than their bound
+        fast = []
+        _spy(monkeypatch, "_parallelogram_by_kronecker", fast)
+        assert check_parallelogram(catalog.sqrt2_halfplane_window(30), 16).holds
+        assert fast == [16]
 
 
 class TestRay:
