@@ -104,8 +104,8 @@ class SeparatingFlag:
 # parallelogram condition
 
 # Most bits the bitsets may take in all, 32 MiB: the check keeps 2k of
-# them, one per order and side, each of up to D = (k*span + 1)^d bits,
-# so points far apart in a big box, or a large k, take sets of sums.
+# them, one per order and side, the order-j one j*max(codes) + 1 bits
+# wide, so points far apart in a big box, or a large k, take sets of sums.
 _BITSET_MAX_BITS = 1 << 28
 
 # A set costs work per distinct sum and a bitset per bit, but far less
@@ -148,7 +148,8 @@ def check_parallelogram(p: Partition, k: int) -> Verdict:
         raise ValueError("k must be >= 1")
     codes, digits = point_codes(p.a.points + p.b.points, k)
     sums = comb(len(p.a) + k, k) + comb(len(p.b) + k, k) - 2
-    if 2 * k * digits <= _BITSET_MAX_BITS and digits <= _DIGITS_PER_SUM * sums:
+    bits = k * (k + 1) * max(codes) + 2 * k  # the 2k bitsets' widths, summed
+    if bits <= _BITSET_MAX_BITS and digits <= _DIGITS_PER_SUM * sums:
         return _parallelogram_on(p, k, codes, _BITSETS)
     if sums > _MAX_ENUMERATED_SUMS:
         raise LatsepError(f"the {k}-parallelogram check would enumerate {sums} "

@@ -13,7 +13,8 @@ admit no separating flag.  It does not test the bipartitions one by
 one: the condition forbids equal-sum multisets on opposite sides, so
 each set's equal-sum table gives clauses, and a backtracking search
 over the points reaches only the partitions that break none of them.
-Flag search runs on those alone.
+Flag search runs on those, except the ones that a functional it found
+earlier for the same set already splits at a threshold.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations, combinations_with_replacement
 from math import prod
+from operator import mul
 
 from .conditions import Partition, check_parallelogram, check_ray, search_flag
 from .convexity import is_hole_free, is_integrally_convex, is_k_convex
@@ -83,6 +85,19 @@ def _split(s: PointSet, mask: int) -> Partition:
     a = (s.points[0],) + tuple(q for i, q in enumerate(rest) if mask >> i & 1)
     b = tuple(q for i, q in enumerate(rest) if not mask >> i & 1)
     return Partition(PointSet(s.dim, a), PointSet(s.dim, b))
+
+
+def _threshold_cuts(s: PointSet, normal) -> set[int]:
+    """The ``bipartitions`` numbers of the threshold cuts of x -> normal . x
+    on s: for each value v above the least, the points with value >= v
+    against the rest, point 0's side as A.  The flag 2 normal . x - (u + v),
+    for u the value below v, splits each one strictly (algorithm notes)."""
+    values = [sum(map(mul, normal, q)) for q in s.points]
+    first, rest = values[0], values[1:]
+    return {
+        sum(1 << i for i, w in enumerate(rest) if (w >= v) == (first >= v))
+        for v in sorted(set(values))[1:]
+    }
 
 
 def parallelogram_masks(s: PointSet, k: int) -> list[int]:
@@ -381,15 +396,22 @@ def hunt_over_set(s: PointSet, report: HuntReport, stream=None) -> None:
 
     ``parallelogram_masks`` lists the partitions with the condition;
     every other one breaks a clause, which is a 3-parallelogram failure,
-    so all of them count as checked and flag search runs only on the
-    survivors, in a row, so ``search_flag`` builds its chart once for all.
+    so all of them count as checked.  Flag search runs on the survivors
+    in ascending order, and each functional it finds adds its threshold
+    cuts on s to ``cut``: those partitions are flag-separable, so a
+    survivor found there needs no LP and is no counterexample.
     """
     if len(s) < 2:
         return
     report.partitions_checked += (1 << len(s) - 1) - 1
+    cut: set[int] = set()
     for mask in parallelogram_masks(s, 3):
+        if mask in cut:
+            continue
         partition = _split(s, mask)
-        if search_flag(partition).holds:
+        verdict = search_flag(partition)
+        if verdict.holds:
+            cut |= _threshold_cuts(s, verdict.witness.functionals[0].normal)
             continue
         v = Violation(
             s.points,

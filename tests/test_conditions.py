@@ -268,8 +268,9 @@ class TestParallelogramAgainstEnumeration:
         p = Partition.of([q for q in grid if q[0] < 2], [q for q in grid if q[0] >= 2])
         assert check_parallelogram(p, 3).holds
         assert (fast, slow) == ([3], [])
-        # 2k bitsets of 13 x 13 bits at k = 3
-        monkeypatch.setattr(conditions, "_BITSET_MAX_BITS", 2 * 3 * 13 * 13 - 1)
+        # at k = 3 the codes reach 4 * 13 + 4 = 56, and each side's
+        # order-j bitset j * 56 + 1 bits
+        monkeypatch.setattr(conditions, "_BITSET_MAX_BITS", 3 * 4 * 56 + 2 * 3 - 1)
         assert check_parallelogram(p, 3).holds
         assert (fast, slow) == ([3], [3])
 
@@ -278,15 +279,32 @@ class TestParallelogramAgainstEnumeration:
         _spy(monkeypatch, "_parallelogram_by_kronecker", fast)
         _spy(monkeypatch, "_parallelogram_by_enumeration", slow)
         p = Partition.of([(0, 0), (1, 0)], [(0, 1), (1, 1)])
-        # 2k bitsets of (k + 1)^2 bits; the budget holds k = 2's four,
-        # while k = 5 keeps ten, each alone as large as the budget
-        monkeypatch.setattr(conditions, "_BITSET_MAX_BITS", 2 * 2 * 3 * 3)
+        # the codes reach k + 2, so each side's order-j bitset has
+        # j * (k + 2) + 1 bits; the budget holds k = 2's four, while k = 5
+        # keeps ten, the order-5 one alone wider than the budget
+        monkeypatch.setattr(conditions, "_BITSET_MAX_BITS", 2 * 3 * 4 + 2 * 2)
         for k in (1, 2, 5, 50):
             assert check_parallelogram(p, k).holds
         assert (fast, slow) == ([1, 2], [5, 50])
-        monkeypatch.setattr(conditions, "_BITSET_MAX_BITS", 2 * 2 * 3 * 3 - 1)
+        monkeypatch.setattr(conditions, "_BITSET_MAX_BITS", 2 * 3 * 4 + 2 * 2 - 1)
         assert check_parallelogram(p, 2).holds
         assert (fast, slow) == ([1, 2], [5, 50, 2])
+
+    def test_budget_charges_the_widths_the_orders_reach(self, monkeypatch):
+        # 2k * D = 2 * 512 * 513^2 bits would pass the budget, but the
+        # order-j bitsets reach only bit j * 514: 512 * 513 * 514 + 1024
+        fast = []
+        _spy(monkeypatch, "_parallelogram_by_kronecker", fast)
+        p = Partition.of([(0, 0), (1, 0)], [(0, 1), (1, 1)])
+        codes, digits = point_codes(p.a.points + p.b.points, 512)
+        assert 2 * 512 * digits > conditions._BITSET_MAX_BITS
+        assert 512 * 513 * max(codes) + 2 * 512 <= conditions._BITSET_MAX_BITS
+        got = check_parallelogram(p, 512)
+        assert fast == [512] and got == _sets(p, 512)
+        q = Partition.of([(0,), (512,)], [(1,)])
+        got = check_parallelogram(q, 512)
+        assert fast == [512, 512] and got == _sets(q, 512)
+        assert got.witness.order == 512
 
     def test_large_k_builds_each_order_from_the_last(self, monkeypatch):
         # the Kronecker integers would take gigabytes here; each order's
@@ -929,4 +947,6 @@ class TestChartMemo:
         conditions._chart.cache_clear()
         explorer.hunt_over_set(s, explorer.HuntReport(seed=0, budget=0))
         assert charts == [s]
-        assert len(searches) == len(explorer.parallelogram_masks(s, 3)) > 1
+        # the hunt skips the survivors that earlier functionals already cut
+        survivors = {explorer._split(s, mask) for mask in explorer.parallelogram_masks(s, 3)}
+        assert 1 < len(searches) < len(survivors) and set(searches) <= survivors

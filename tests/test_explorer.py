@@ -2,7 +2,9 @@
 
 import io
 import json
+import random
 import re
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from latsep.explorer import (
     parallelogram_masks,
 )
 from latsep.geometry import PointSet, box_points
+from oracles import oracle_flag_separable
 
 
 class TestEnumerateFamily:
@@ -309,14 +312,18 @@ class TestClausePrunedHunt:
         assert report.partitions_checked == 2 ** (len(box) - 1) - 1
         assert report.ok
 
-    def test_box_333_exhaustive(self):
+    def test_box_333_exhaustive(self, monkeypatch):
         # 2**26 - 1 partitions; brute force would take hours
         box = PointSet.of(box_points((0, 0, 0), (2, 2, 2)))
         assert len(parallelogram_masks(box, 3)) == 1350
+        lps = []
+        monkeypatch.setattr(explorer, "search_flag", lambda p: lps.append(p) or search_flag(p))
         report = HuntReport(seed=0, budget=0)
         hunt_over_set(box, report)
         assert report.partitions_checked == 2**26 - 1
         assert report.ok
+        # the other 1,076 are threshold cuts of the 274 functionals found
+        assert len(lps) == 274
 
     def test_empty_and_one_point_sets(self):
         for pts in ([], [(0, 0)]):
@@ -324,6 +331,81 @@ class TestClausePrunedHunt:
             report = HuntReport(seed=0, budget=0)
             hunt_over_set(s, report)
             assert parallelogram_masks(s, 3) == [] and report.partitions_checked == 0
+
+
+def _cut_sets():
+    """Seeded sets of at most 8 points in Z^2-Z^4 on which many points
+    share a functional's value: random ones, collinear, coplanar, and
+    subsets of 0/1 boxes."""
+    rng = random.Random(27)
+    sets = []
+    for dim in (2, 3, 4):
+        corners = list(box_points((0,) * dim, (1,) * dim))
+        for _ in range(6):
+            base, u, v = (tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(3))
+            spots = rng.sample(range(-3, 4), rng.randint(2, 6))
+            line = [tuple(b + t * x for b, x in zip(base, u)) for t in spots]
+            plane = [
+                tuple(b + i * x + j * y for b, x, y in zip(base, u, v))
+                for i, j in rng.sample([(i, j) for i in range(3) for j in range(3)], 7)
+            ]
+            sets += [
+                [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(2, 8))],
+                line,
+                plane,
+                rng.sample(corners, min(len(corners), rng.randint(2, 8))),
+            ]
+    return [PointSet.of(pts, len(pts[0])) for pts in sets if len(set(pts)) > 1]
+
+
+class TestThresholdCuts:
+    """The cuts that let the hunt skip an LP, and the hunt that uses them."""
+
+    def test_every_cut_is_flag_separable(self):
+        rng = random.Random(5)
+        cuts = 0
+        for s in _cut_sets():
+            normals = [tuple(rng.randint(-2, 2) for _ in range(s.dim)) for _ in range(3)]
+            for mask in range(0, (1 << len(s) - 1) - 1, 5):
+                verdict = search_flag(explorer._split(s, mask))
+                if verdict.holds:
+                    normals.append(verdict.witness.functionals[0].normal)
+            for normal in normals:
+                values = {sum(map(mul, normal, q)) for q in s.points}
+                masks = explorer._threshold_cuts(s, normal)
+                assert len(masks) == len(values) - 1
+                for mask in masks:
+                    assert 0 <= mask < (1 << len(s) - 1) - 1
+                    p = explorer._split(s, mask)
+                    assert oracle_flag_separable(p.a.points, p.b.points)
+                    cuts += 1
+        assert cuts > 1000
+
+    def test_hunt_matches_brute_force_in_z4(self):
+        # the 0/1 cube of Z^4 holds counterexamples, such as {0, 1111}
+        # against the unit vectors; plant images of that one under the
+        # cube's symmetries, with up to two more corners, among random
+        # subsets of at most 8 corners
+        rng = random.Random(11)
+        corners = list(box_points((0,) * 4, (1,) * 4))
+        core = [(0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        found = 0
+        for n in range(30):
+            if n % 2:
+                pts = rng.sample(corners, rng.randint(2, 8))
+            else:
+                axes = rng.sample(range(4), 4)
+                flips = [rng.randint(0, 1) for _ in range(4)]
+                pts = [tuple(q[a] ^ f for a, f in zip(axes, flips)) for q in core]
+                pts += rng.sample([q for q in corners if q not in pts], rng.randint(0, 2))
+            s = PointSet.of(pts, 4)
+            report = HuntReport(seed=0, budget=0)
+            hunt_over_set(s, report)
+            expected = _brute_force_hunt(s)
+            assert report.partitions_checked == expected.partitions_checked
+            assert report.counterexamples == expected.counterexamples
+            found += len(report.counterexamples)
+        assert found >= 5
 
 
 def test_violation_round_trips_through_json():
