@@ -44,7 +44,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyInteriorError,
     InstanceFormatError,
-    InvalidFlagError,
     LatsepError,
     UnsupportedDimensionError,
     read_json_object,
@@ -277,7 +276,10 @@ def _cmd_check(args) -> int:
     obj = parse_instance(args.file)
     obj = (_require_partition(obj, args.file, f"check {args.condition}") if on_partition
            else _as_point_set(obj, args.file))
-    v = decide(obj, args)
+    try:
+        v = decide(obj, args)
+    except LatsepError as e:  # a refusal, such as an enumeration past its bound
+        raise InstanceFormatError(f"{args.file}: {e}") from None
     print(holds.format(**vars(args)) if v.holds else fails(v.witness))
     return _verdict_exit(v.holds)
 
@@ -306,9 +308,8 @@ def _cmd_verify_flag(args) -> int:
     flag = parse_flag_file(args.flag)
     try:
         ok = verify_flag(p, flag)
-    except InvalidFlagError as e:
-        print(f"flag structurally invalid: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except LatsepError as e:  # a flag of another dimension, or structurally invalid
+        raise InstanceFormatError(f"{args.flag}: {e}") from None
     print("flag verifies" if ok else "flag rejected: some point lands on the wrong side")
     return _verdict_exit(ok)
 

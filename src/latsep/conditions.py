@@ -249,32 +249,27 @@ def lex_flag_to_subspace_chain(flag: SeparatingFlag):
     """The flag's nested subspace chain, smallest flat first, as
     (anchor, basis) pairs ending with the ambient space.
 
-    Each flat has a rational anchor and primitive integer directions;
-    raises InvalidFlagError when some level is constant on the previous
-    flat.  For c the level's coefficients on the basis, v becomes
-    |c0| v - sign(c0) c_v b0, a positive multiple of v - (c_v / c0) b0.
+    The flat N x = c of the first levels is read off the integer kernel:
+    its anchor is its one point that is 0 off N's pivot columns, and its
+    directions are N's primitive null basis.  Raises InvalidFlagError
+    when a level's normal depends on the earlier ones, so that the level
+    is constant on the previous flat.
     """
     d = flag.dim
-    anchor = tuple(Fraction(0) for _ in range(d))
-    basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    chain = [(anchor, basis)]
-    for level, g in enumerate(flag.functionals):
+    chain = [(tuple(Fraction(0) for _ in range(d)), linalg.null_vectors([], d))]
+    normals, offsets = [], []
+    for level, g in enumerate(flag.functionals, 1):
         if len(g.normal) != d:
             raise DimensionMismatchError("functional dimension mismatch")
-        coeffs = [sum(n * x for n, x in zip(g.normal, v)) for v in basis]
-        j0 = next((j for j, c in enumerate(coeffs) if c != 0), None)
-        if j0 is None:
-            raise InvalidFlagError(f"level {level + 1} is constant on the current flat")
-        b0, c0 = basis[j0], coeffs[j0]
-        t0 = -g.value(anchor) / c0
-        anchor = tuple(a + t0 * v for a, v in zip(anchor, b0))
-        sign = 1 if c0 > 0 else -1
-        basis = [
-            linalg.primitive_part(tuple(sign * (c0 * x - c * y) for x, y in zip(v, b0)))[0]
-            for j, (v, c) in enumerate(zip(basis, coeffs))
-            if j != j0
-        ]
-        chain.insert(0, (anchor, basis))
+        normals.append(g.normal)
+        offsets.append(g.offset)
+        kernel = linalg.minor_adjugate(normals)
+        if kernel is None:
+            raise InvalidFlagError(f"level {level} is constant on the current flat")
+        cols, det, adj = kernel
+        at = {j: sum(row[r] * c for row, c in zip(adj, offsets)) for r, j in enumerate(cols)}
+        anchor = tuple(Fraction(at.get(j, 0), det) for j in range(d))
+        chain.insert(0, (anchor, linalg.null_vectors(normals, d)))
     return chain
 
 

@@ -16,6 +16,8 @@ _HEADER = (
     '<rect x="0" y="0" width="{w}" height="{h}" fill="#ffffff"/>\n'
 )
 
+_SCALE, _PAD = 40, 1.2  # pixels per unit; margin around the points, in units
+
 
 def _line_box_clip(nx, ny, c, x0, y0, x1, y1):
     """Intersections of nx*x + ny*y = c with the box border, as 0-2 points."""
@@ -37,7 +39,7 @@ def _line_box_clip(nx, ny, c, x0, y0, x1, y1):
     return dedup[:2]
 
 
-def render_svg(a_points, b_points, functionals=(), scale=40, pad=1.2) -> str:
+def render_svg(a_points, b_points, functionals=()) -> str:
     """SVG text for a planar instance; raises above dimension 2."""
     pts = list(a_points) + list(b_points)
     if not pts:
@@ -46,13 +48,13 @@ def render_svg(a_points, b_points, functionals=(), scale=40, pad=1.2) -> str:
         raise UnsupportedDimensionError("plotting supports dimension 2 only")
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    x0, x1 = min(xs) - pad, max(xs) + pad
-    y0, y1 = min(ys) - pad, max(ys) + pad
-    w = (x1 - x0) * scale
-    h = (y1 - y0) * scale
+    x0, x1 = min(xs) - _PAD, max(xs) + _PAD
+    y0, y1 = min(ys) - _PAD, max(ys) + _PAD
+    w = (x1 - x0) * _SCALE
+    h = (y1 - y0) * _SCALE
 
     def to_px(x, y):
-        return ((x - x0) * scale, (y1 - y) * scale)
+        return ((x - x0) * _SCALE, (y1 - y) * _SCALE)
 
     parts = [_HEADER.format(w=f"{w:.0f}", h=f"{h:.0f}")]
     for g in functionals:

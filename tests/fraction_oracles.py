@@ -1,10 +1,11 @@
-"""The Fraction linear algebra, simplex tableau and flag search that the
-library's integer kernels, integer tableau and integer ``search_flag``
-replaced, kept verbatim as differential references.  They use the
-library's data types only.  The flag search poses its LPs on the
-coordinates the library's ``search_flag`` uses, the pivot columns of
-the affine hull's basis, so that the two give the same flags as long
-as the library's LP is not sifted, that is, at most
+"""The Fraction linear algebra, simplex tableau, flag search and flag
+walk that the library's integer kernels, integer tableau, integer
+``search_flag`` and kernel-read subspace chain replaced, kept verbatim
+as differential references.  They use the library's data types only.
+The flag search poses its LPs on the coordinates the library's
+``search_flag`` uses, the pivot columns of the affine hull's basis, so
+that the two give the same flags as long as the library's LP is not
+sifted, that is, at most
 ``conditions._SIFT_COLUMNS_PER_ROW`` points per LP row.  A sifted LP
 is solved on fewer points, and its flag can differ.
 
@@ -18,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from latsep import linalg
 from latsep.conditions import OWNER_A, OWNER_B, OWNER_EMPTY, Partition, SeparatingFlag
-from latsep.errors import DimensionMismatchError, LatsepError
+from latsep.errors import DimensionMismatchError, InvalidFlagError, LatsepError
 from latsep.geometry import AffineFunctional, IntPoint, PointSet
 from latsep.verdicts import Verdict
 
@@ -350,6 +352,39 @@ def affine_hull_basis(s: PointSet) -> tuple[IntPoint, list[tuple[int, ...]]]:
     anchor = s.points[0]
     diffs = [tuple(x - a for x, a in zip(p, anchor)) for p in s.points[1:]]
     return anchor, independent_subset(diffs)
+
+
+def lex_flag_to_subspace_chain(flag: SeparatingFlag):
+    """The flag's nested subspace chain, smallest flat first, as
+    (anchor, basis) pairs ending with the ambient space.
+
+    Each flat has a rational anchor and primitive integer directions;
+    raises InvalidFlagError when some level is constant on the previous
+    flat.  For c the level's coefficients on the basis, v becomes
+    |c0| v - sign(c0) c_v b0, a positive multiple of v - (c_v / c0) b0.
+    """
+    d = flag.dim
+    anchor = tuple(Fraction(0) for _ in range(d))
+    basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+    chain = [(anchor, basis)]
+    for level, g in enumerate(flag.functionals):
+        if len(g.normal) != d:
+            raise DimensionMismatchError("functional dimension mismatch")
+        coeffs = [sum(n * x for n, x in zip(g.normal, v)) for v in basis]
+        j0 = next((j for j, c in enumerate(coeffs) if c != 0), None)
+        if j0 is None:
+            raise InvalidFlagError(f"level {level + 1} is constant on the current flat")
+        b0, c0 = basis[j0], coeffs[j0]
+        t0 = -g.value(anchor) / c0
+        anchor = tuple(a + t0 * v for a, v in zip(anchor, b0))
+        sign = 1 if c0 > 0 else -1
+        basis = [
+            linalg.primitive_part(tuple(sign * (c0 * x - c * y) for x, y in zip(v, b0)))[0]
+            for j, (v, c) in enumerate(zip(basis, coeffs))
+            if j != j0
+        ]
+        chain.insert(0, (anchor, basis))
+    return chain
 
 
 def _to_ambient(p_vec, q_val, cols, d) -> AffineFunctional:

@@ -485,6 +485,21 @@ _REFUSALS = {
                              ["verify-flag", "i.json", "--flag", "f.json"], "f.json"),
     "flag coefficient abc": ({"i.json": _GAP, "f.json": _flag(offset="abc")},
                              ["verify-flag", "i.json", "--flag", "f.json"], "f.json"),
+    "flag of another dimension": (
+        {"i.json": _GAP, "f.json": {**_flag(normal=(1, 0, 0)), "dim": 3}},
+        ["verify-flag", "i.json", "--flag", "f.json"], "f.json",
+    ),
+    "flag level constant on the flat": (
+        {"i.json": _GAP, "f.json": {**_flag(), "functionals": _flag()["functionals"] * 2}},
+        ["verify-flag", "i.json", "--flag", "f.json"], "f.json",
+    ),
+    "check par past the enumeration bound": (
+        # 9 points a side, 1000 apart: the bitsets would pass their budget
+        # at k = 16, and the sides have 2 C(25, 16) - 2 multisets of sums
+        {"i.json": {"dim": 2, "A": [[0, 1000 * i] for i in range(9)],
+                    "B": [[1000, 1000 * i] for i in range(9)]}},
+        ["check", "par", "--k", "16", "i.json"], "i.json",
+    ),
     "separate on S": ({"i.json": {"dim": 2, "S": [[0, 0]]}}, ["separate", "i.json"], "i.json"),
     "check ray on S": ({"i.json": {"dim": 2, "S": [[0, 0]]}}, ["check", "ray", "i.json"], "i.json"),
     "lemma49 on 4 points": ({"i.json": {"dim": 2, "S": [[0, 0], [1, 0], [0, 1], [1, 1]]}},

@@ -850,7 +850,48 @@ class TestSearchFlag:
             assert side in ("A", "B", "residual")
 
 
+@st.composite
+def _chain_flags(draw):
+    """A flag of 0 to d + 2 levels in Z^1-Z^5 with primitive functionals,
+    among them zero normals, repeated and dependent normals (an earlier
+    normal plus a multiple of another) and normals of the wrong
+    dimension."""
+    d = draw(st.integers(1, 5))
+    coef = st.integers(-4, 4)
+    funcs = []
+    for _ in range(draw(st.integers(0, d + 2))):
+        kind = draw(st.sampled_from(("free",) * 12 + ("zero", "repeat", "combine", "wrong dim")))
+        if kind == "zero":
+            normal = (0,) * d
+        elif kind == "wrong dim":
+            n = draw(st.sampled_from((d - 1, d + 1)))
+            normal = draw(st.lists(coef, min_size=n, max_size=n))
+        elif funcs and kind in ("repeat", "combine"):
+            g, h = draw(st.sampled_from(funcs)), draw(st.sampled_from(funcs))
+            t = draw(coef) if kind == "combine" else 0
+            normal = [x + t * y for x, y in zip(g.normal, h.normal)]
+        else:
+            normal = draw(st.lists(coef, min_size=d, max_size=d).filter(any))
+        funcs.append(AffineFunctional.of(normal, draw(coef)))
+    return SeparatingFlag(d, tuple(funcs), "A")
+
+
+def _chain_outcome(chain_of, flag):
+    """The chain of ``flag``, or the type and message of what was raised."""
+    try:
+        return chain_of(flag)
+    except LatsepError as exc:
+        return type(exc), str(exc)
+
+
 class TestSubspaceChain:
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(_chain_flags())
+    def test_matches_the_fraction_walk(self, flag):
+        assert _chain_outcome(lex_flag_to_subspace_chain, flag) == _chain_outcome(
+            fraction_oracles.lex_flag_to_subspace_chain, flag
+        )
+
     def test_single_level_in_plane(self):
         flag = SeparatingFlag(2, (AffineFunctional.of([1, 0], 0),), "A")
         chain = lex_flag_to_subspace_chain(flag)
