@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, compress, islice, product
 from math import gcd, lcm
-from operator import floordiv, neg, sub
+from operator import floordiv, mul, neg, sub
 
 from . import linalg
 from .geometry import (
@@ -281,63 +281,71 @@ def is_hole_free(s: PointSet) -> Verdict:
 # ---------------------------------------------------------------------------
 # integral convexity
 
-def _face_rows(facets, corner, free):
-    """The facets (n, e), meaning n . x >= e, on the face corner + [0,1]
-    in each ``free`` coordinate, as rows (m, b) meaning m . y >= b for y
-    in [0,1]^f: those that can be tight there, or None when the face
-    misses the hull.  Over the face, m . y - b ranges from -b plus the
-    negative entries of m to -b plus the positive ones."""
-    out = []
-    for n, e in facets:
-        m = [n[j] for j in free]
-        b = e - sum(a * v for a, v in zip(n, corner))
-        if sum(v for v in m if v > 0) < b:
-            return None
-        if sum(v for v in m if v < 0) <= b:
-            out.append((m, b))
-    return out
+def _face_plan(d: int):
+    """(halves, faces) of a unit cell in Z^d.  ``faces``: its proper faces
+    in ``product((None, 0, 1))`` order as (id, lowest free bit, free
+    coordinates, least corner), masks with bit d - 1 - j for coordinate j,
+    id = free * 2^d + least corner.  ``halves``: (id, ids of the two faces
+    fixing that bit) for each face that is not a corner, halves first."""
+    top = 1 << d
+    faces = [(0, (), 0)]
+    for j in range(d):  # coordinate j free, at 0, at 1
+        bit = 1 << (d - 1 - j)
+        faces = [f for m, free, low in faces
+                 for f in ((m | bit, free + (j,), low), (m, free, low), (m, free, low | bit))]
+    faces = [(m * top + low, m & -m, free, low) for m, free, low in faces if m != top - 1]
+    return sorted((f, f - b * top, f - b * top + b) for f, b, _, _ in faces if b), faces
 
 
-def _failing_vertex(cell, rows, members):
-    """The least vertex X / D of Q = conv(S) ∩ cell that fails the vertex
-    rule, as (X, D), or None; ``rows`` are the cell's own ``_face_rows``.
+def _corner_signs(rows, member, halves):
+    """Each row's values n . x - e at the corners, from v at the least one,
+    and per face whether its corners are all members and the AND of value
+    < 0, of value <= 0 and the OR of value < 0 over them, bit i for row i."""
+    values, lt, le = [], [0] * len(member), [0] * len(member)
+    for i, (n, v) in enumerate(rows):
+        vals = [v]
+        for a in reversed(n):  # the last coordinate varies fastest
+            vals += [w + a for w in vals]
+        values.append(vals)
+        for c, w in enumerate(vals):
+            if w <= 0:
+                le[c] |= 1 << i
+                if w < 0:
+                    lt[c] |= 1 << i
+    table = dict(enumerate(zip(member, lt, le, lt)))
+    for f, a, b in halves:
+        (ma, al, ae, ol), (mb, bl, be, pl) = table[a], table[b]
+        table[f] = (ma and mb, al & bl, ae & be, ol | pl)
+    return values, table
 
-    Face by face (see the algorithm notes in docs/): each vertex of Q lies
-    inside one proper face of the cell, where f facets tight at it fix its
-    f free coordinates (``linalg.minor_adjugate``).  Off the corners it is
-    not integral, so it fails.  Faces whose corners are all members, or
-    that conv(S) only touches, are skipped; only crossing rows are solved."""
+
+def _failing_vertex(rows, corners, member, halves, faces):
+    """The least vertex X / D of Q = conv(S) ∩ cell failing the vertex rule,
+    as (X, D), or None, given the facets (n, n . cell - e) that can be tight
+    on the cell, its corners and their membership; each vertex of Q lies in
+    one proper face, its f free coordinates fixed by f tight facets."""
+    values, table = _corner_signs(rows, member, halves)
     failing = []
-    for pattern in product((None, 0, 1), repeat=len(cell)):
-        free = [i for i, b in enumerate(pattern) if b is None]
-        corner = [b or 0 for b in pattern]
-        lo = tuple(c + o for c, o in zip(cell, corner))
-        hi = tuple(v + (b is None) for v, b in zip(lo, pattern))
-        if len(free) == len(cell) or all(z in members for z in box_points(lo, hi)):
-            continue
-        face = _face_rows(rows, corner, free)
-        if face is None:
+    for face, _, free, base in faces:
+        every_member, missed, nonpositive, crossing = table[face]
+        # skip a face whose corners are all members, one that conv(S) misses
+        # and one it only touches: a row <= 0 on it and < 0 somewhere
+        if every_member or missed or nonpositive & crossing:
             continue
         if not free:
-            failing.append((lo, 1))  # a non-member corner inside conv(S)
+            failing.append((corners[base], 1))  # a non-member corner inside conv(S)
             continue
-        # A nonconstant m . y - b whose maximum over the face is 0 is below 0
-        # inside it: conv(S) only touches the face.  One whose minimum is 0
-        # is tight only on the face's boundary, so it is never solved.
-        if any(any(m) and sum(v for v in m if v > 0) == b for m, b in face):
-            continue
-        crossing = [(m, b) for m, b in face if sum(v for v in m if v < 0) < b]
-        for chosen in combinations(crossing, len(free)):
+        face_rows = [([n[j] for j in free], -vals[base])  # the rest hold on the face
+                     for i, ((n, _), vals) in enumerate(zip(rows, values)) if crossing >> i & 1]
+        for chosen in combinations(face_rows, len(free)):
             found = linalg.minor_adjugate([m for m, _ in chosen])
             if found is None:
                 continue
             _, det, adj = found
             y = [sum(r[k] * b for r, (_, b) in zip(adj, chosen)) for k in range(len(free))]
-            if all(0 < v < det for v in y) and satisfies(y, det, face):
-                x = [v * det for v in lo]
-                for j, v in zip(free, y):
-                    x[j] += v
-                failing.append((tuple(x), det))
+            if all(0 < v < det for v in y) and satisfies(y, det, face_rows):
+                lift = dict(zip(free, y))
+                failing.append((tuple(v * det + lift.get(j, 0) for j, v in enumerate(corners[base])), det))
     if not failing:
         return None
     scale = lcm(*(den for _, den in failing))
@@ -347,29 +355,36 @@ def _failing_vertex(cell, rows, members):
 def is_integrally_convex(s: PointSet) -> Verdict:
     """Local-hull test, in any dimension: on every unit cell, the hull of
     the set's points on the cell's corners must fill conv(S) clipped to
-    the cell; the empty set holds.
-
-    One vertex rule decides each cell: a vertex x / D of the clipped hull
+    the cell; the empty set holds.  A vertex x / D of the clipped hull
     passes exactly when D = 1 and x is a member, so only failing vertices
-    are searched for, face by face (see the algorithm notes in docs/).
-    One facet description of conv(S) serves every cell.  Integer
-    arithmetic throughout; only the witness vertex is built as Fractions.
+    are searched for, face by face, on the facets' signs at the cell's
+    corners (algorithm notes in docs/); only the witness is a Fraction.
     """
     if not s.points:
         return Verdict(True)
-    d = s.dim
-    facets = integer_facets(s.points)
+    halves, faces = _face_plan(s.dim)
+    ranges = [(n, e, sum(v for v in n if v > 0), sum(v for v in n if v < 0))
+              for n, e in integer_facets(s.points)]
     members = s.member_set()
     lo, hi = bounding_box(s.points)
     # one unit cell per axis position; a degenerate axis keeps one cell
     for cell in product(*(range(l, max(h, l + 1)) for l, h in zip(lo, hi))):
-        if all(c in members for c in box_points(cell, tuple(z + 1 for z in cell))):
+        corners = list(box_points(cell, tuple(z + 1 for z in cell)))
+        member = [c in members for c in corners]
+        if all(member):
             continue  # conv(S) meets the cell inside the cell = conv(corners)
-        rows = _face_rows(facets, cell, range(d))
-        found = None if rows is None else _failing_vertex(cell, rows, members)
-        if found is not None:
-            x, den = found
-            return Verdict(False, CellWitness(cell, tuple(Fraction(v, den) for v in x)))
+        rows = []
+        for n, e, up, down in ranges:
+            v = sum(map(mul, n, cell)) - e
+            if v + up < 0:
+                break  # n . x - e < 0 on the whole cell: conv(S) misses it
+            if v + down <= 0:
+                rows.append((n, v))  # n . x - e can be 0 on the cell
+        else:
+            found = _failing_vertex(rows, corners, member, halves, faces)
+            if found is not None:
+                x, den = found
+                return Verdict(False, CellWitness(cell, tuple(Fraction(v, den) for v in x)))
     return Verdict(True)
 
 

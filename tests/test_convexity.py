@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from latsep import convexity, linalg
 from latsep.convexity import (
-    _face_rows,
+    _corner_signs,
+    _face_plan,
     _hull_support,
     _segment_points,
     _simplex_points,
@@ -568,6 +569,98 @@ class TestFaceFirstCellSearch:
         assert repr(got) == repr(_all_choices_integrally_convex(s))
 
 
+# The row-sum face search that the corner signs replaced, kept verbatim
+# as the reference: ``_face_rows`` re-sums each kept row over the free
+# coordinates of every face, the cell included.
+
+def _face_rows(facets, corner, free):
+    """The facets (n, e), meaning n . x >= e, on the face corner + [0,1]
+    in each ``free`` coordinate, as rows (m, b) meaning m . y >= b for y
+    in [0,1]^f: those that can be tight there, or None when the face
+    misses the hull.  Over the face, m . y - b ranges from -b plus the
+    negative entries of m to -b plus the positive ones."""
+    out = []
+    for n, e in facets:
+        m = [n[j] for j in free]
+        b = e - sum(a * v for a, v in zip(n, corner))
+        if sum(v for v in m if v > 0) < b:
+            return None
+        if sum(v for v in m if v < 0) <= b:
+            out.append((m, b))
+    return out
+
+
+def _row_sums_failing_vertex(cell, rows, members):
+    """The least vertex X / D of Q = conv(S) ∩ cell that fails the vertex
+    rule, as (X, D), or None; ``rows`` are the cell's own ``_face_rows``.
+
+    Face by face (see the algorithm notes in docs/): each vertex of Q lies
+    inside one proper face of the cell, where f facets tight at it fix its
+    f free coordinates (``linalg.minor_adjugate``).  Off the corners it is
+    not integral, so it fails.  Faces whose corners are all members, or
+    that conv(S) only touches, are skipped; only crossing rows are solved."""
+    failing = []
+    for pattern in product((None, 0, 1), repeat=len(cell)):
+        free = [i for i, b in enumerate(pattern) if b is None]
+        corner = [b or 0 for b in pattern]
+        lo = tuple(c + o for c, o in zip(cell, corner))
+        hi = tuple(v + (b is None) for v, b in zip(lo, pattern))
+        if len(free) == len(cell) or all(z in members for z in box_points(lo, hi)):
+            continue
+        face = _face_rows(rows, corner, free)
+        if face is None:
+            continue
+        if not free:
+            failing.append((lo, 1))  # a non-member corner inside conv(S)
+            continue
+        # A nonconstant m . y - b whose maximum over the face is 0 is below 0
+        # inside it: conv(S) only touches the face.  One whose minimum is 0
+        # is tight only on the face's boundary, so it is never solved.
+        if any(any(m) and sum(v for v in m if v > 0) == b for m, b in face):
+            continue
+        crossing = [(m, b) for m, b in face if sum(v for v in m if v < 0) < b]
+        for chosen in combinations(crossing, len(free)):
+            found = linalg.minor_adjugate([m for m, _ in chosen])
+            if found is None:
+                continue
+            _, det, adj = found
+            y = [sum(r[k] * b for r, (_, b) in zip(adj, chosen)) for k in range(len(free))]
+            if all(0 < v < det for v in y) and satisfies(y, det, face):
+                x = [v * det for v in lo]
+                for j, v in zip(free, y):
+                    x[j] += v
+                failing.append((tuple(x), det))
+    if not failing:
+        return None
+    scale = lcm(*(den for _, den in failing))
+    return min(failing, key=lambda v: tuple(c * (scale // v[1]) for c in v[0]))
+
+
+def _row_sums_cells(s: PointSet, failing_vertex) -> Verdict:
+    """The cell loop of the row-sum search, with a given face search."""
+    if not s.points:
+        return Verdict(True)
+    d = s.dim
+    facets = integer_facets(s.points)
+    members = s.member_set()
+    lo, hi = bounding_box(s.points)
+    # one unit cell per axis position; a degenerate axis keeps one cell
+    for cell in product(*(range(l, max(h, l + 1)) for l, h in zip(lo, hi))):
+        if all(c in members for c in box_points(cell, tuple(z + 1 for z in cell))):
+            continue  # conv(S) meets the cell inside the cell = conv(corners)
+        rows = _face_rows(facets, cell, range(d))
+        found = None if rows is None else failing_vertex(cell, rows, members)
+        if found is not None:
+            x, den = found
+            return Verdict(False, CellWitness(cell, tuple(Fraction(v, den) for v in x)))
+    return Verdict(True)
+
+
+def _row_sums_integrally_convex(s: PointSet) -> Verdict:
+    """``is_integrally_convex`` on the row-sum face search."""
+    return _row_sums_cells(s, _row_sums_failing_vertex)
+
+
 # The face search before the touching-face and crossing-row rules, kept
 # verbatim as the reference: it solves every choice of |J| kept rows on
 # every proper face that the range test and the member skip leave.
@@ -614,8 +707,7 @@ def _seed_failing_vertex(cell, rows, members):
 
 def _seed_integrally_convex(s: PointSet) -> Verdict:
     """``is_integrally_convex`` on the reference face search."""
-    with mock.patch.object(convexity, "_failing_vertex", _seed_failing_vertex):
-        return is_integrally_convex(s)
+    return _row_sums_cells(s, _seed_failing_vertex)
 
 
 def _solves(decide, s: PointSet) -> int:
@@ -634,6 +726,53 @@ def _tesseract_subset(draw):
     """1 to 10 points of [0, 2]^4."""
     coord = st.integers(0, 2)
     return PointSet.of(draw(st.sets(st.tuples(*[coord] * 4), min_size=1, max_size=10)))
+
+
+@st.composite
+def _flat_subset(draw):
+    """1 to 8 points p + s u + t w of a lattice line (w = 0) or plane in Z^3."""
+    vec = st.tuples(*[st.integers(-2, 2)] * 3)
+    p, u, w = draw(vec), draw(vec), draw(st.one_of(st.just((0, 0, 0)), vec))
+    steps = draw(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=8))
+    return PointSet.of([tuple(a + s * b + t * c for a, b, c in zip(p, u, w)) for s, t in steps])
+
+
+@st.composite
+def _spread_subset(draw):
+    """1 to 8 points of [-4, 4]^d in Z^1 to Z^4."""
+    coord = st.integers(-4, 4)
+    dim = draw(st.integers(1, 4))
+    return PointSet.of(draw(st.sets(st.tuples(*[coord] * dim), min_size=1, max_size=8)))
+
+
+def _face_signs(s: PointSet, cell, free, low):
+    """The face of ``cell`` with free coordinates ``free`` and least corner
+    ``low``, read off the corner signs of the facets the cell range test
+    keeps, as rows (m, b) meaning m . y >= b on the face: those at most 0
+    at some corner of the face, those that cross it (OR of < 0) and those
+    that only touch it (AND of <= 0 and OR of < 0)."""
+    rows = []
+    for n, e in integer_facets(s.points):
+        v = sum(a * c for a, c in zip(n, cell)) - e
+        assert v + sum(a for a in n if a > 0) >= 0  # conv(S) meets the cell
+        if v + sum(a for a in n if a < 0) <= 0:
+            rows.append((n, v))
+    corners = list(box_points(cell, tuple(z + 1 for z in cell)))
+    halves, faces = _face_plan(s.dim)
+    values, table = _corner_signs(rows, [c in s for c in corners], halves)
+    face, base = next((f, b) for f, _, j, b in faces if j == free and corners[b] == low)
+    _, missed, nonpositive, crossing = table[face]
+    assert not missed
+    on_face = [i for i, c in enumerate(corners)
+               if all(c[j] == low[j] for j in range(s.dim) if j not in free)]
+
+    def face_rows(keep):
+        return [([n[j] for j in free], -vals[base])
+                for i, ((n, _), vals) in enumerate(zip(rows, values)) if keep(i, vals)]
+
+    return {"kept": face_rows(lambda i, vals: min(vals[c] for c in on_face) <= 0),
+            "crossing": face_rows(lambda i, vals: crossing >> i & 1),
+            "touching": face_rows(lambda i, vals: (nonpositive & crossing) >> i & 1)}
 
 
 class TestCrossingFaces:
@@ -655,26 +794,58 @@ class TestCrossingFaces:
     def test_face_touched_only_on_its_boundary(self):
         """The top edge of the unit triangle's cell meets conv(S) at the
         corner (0, 1) alone: there the facet x + y <= 1 reads -y0 >= 0,
-        whose maximum over the edge is 0 and which fails inside it."""
+        which is <= 0 at both ends of the edge and < 0 at one, so its
+        maximum over the edge is 0 and it fails inside it."""
         s = PointSet.of([(0, 0), (1, 0), (0, 1)])
-        rows = _face_rows(integer_facets(s.points), (0, 0), range(2))
-        assert _face_rows(rows, [0, 1], [0]) == [([-1], 0), ([1], 0)]
+        face = _face_signs(s, (0, 0), (0,), (0, 1))
+        assert face["kept"] == [([-1], 0), ([1], 0)]
+        assert face["crossing"] == face["touching"] == [([-1], 0)]
         assert is_integrally_convex(s) == oracle_integrally_convex_lp(s) == Verdict(True)
         assert repr(is_integrally_convex(s)) == repr(_seed_integrally_convex(s))
         assert (_solves(_seed_integrally_convex, s), _solves(is_integrally_convex, s)) == (4, 0)
 
     def test_row_with_minimum_zero_on_the_face(self):
         """On the top edge of cell (0, -1) the facet x >= 0 reads y0 >= 0,
-        whose minimum over the edge is 0 at its left end, so it is never
+        which is 0 at its left end and > 0 at its right end, so it is never
         solved; the crossing row -2 y0 >= -1 gives the witness (1/2, 0)."""
         s = PointSet.of([(0, -1), (0, 0), (0, 1), (1, 1)])
-        rows = _face_rows(integer_facets(s.points), (0, -1), range(2))
-        assert _face_rows(rows, [0, 1], [0]) == [([-2], -1), ([1], 0)]
+        face = _face_signs(s, (0, -1), (0,), (0, 0))
+        assert face["kept"] == [([-2], -1), ([1], 0)]
+        assert face["crossing"] == [([-2], -1)]
+        assert face["touching"] == []
         got = is_integrally_convex(s)
         assert got == oracle_integrally_convex_lp(s)
         assert got.witness == CellWitness((0, -1), (Fraction(1, 2), Fraction(0)))
         assert repr(got) == repr(_seed_integrally_convex(s))
         assert (_solves(_seed_integrally_convex, s), _solves(is_integrally_convex, s)) == (4, 1)
+
+
+class TestCornerSigns:
+    """The face search on corner sign masks against the row-sum search it
+    replaced: the same verdicts, witnesses and solves."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_box_subset(), _tesseract_subset(), _flat_subset(), _spread_subset()))
+    def test_matches_row_sums(self, s):
+        assert repr(is_integrally_convex(s)) == repr(_row_sums_integrally_convex(s))
+        assert _solves(is_integrally_convex, s) == _solves(_row_sums_integrally_convex, s)
+
+    def test_cells_the_range_test_skips_build_no_corner_signs(self):
+        """{(t, t, t)} meets few cells of its bounding box: only the cells
+        every facet's range reaches build corner signs."""
+        s = PointSet.of([(t, t, t) for t in range(9)])
+        facets = integer_facets(s.points)
+
+        def reached(cell):
+            return all(sum(a * c for a, c in zip(n, cell)) - e + sum(a for a in n if a > 0) >= 0
+                       for n, e in facets)
+
+        with mock.patch.object(convexity, "_corner_signs", wraps=_corner_signs) as spy:
+            assert is_integrally_convex(s).holds
+        cells = list(product(range(8), repeat=3))
+        assert spy.call_count == sum(map(reached, cells)) < len(cells) // 8
+        # at least the 50 cells that meet the segment itself
+        assert spy.call_count >= sum(max(c) - min(c) <= 1 for c in cells) == 50
 
 
 class TestFaceProperties:
