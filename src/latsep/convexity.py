@@ -18,7 +18,7 @@ forms; see the algorithm notes in docs/.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, compress, islice, product
+from itertools import combinations, compress, islice
 from math import gcd, lcm
 from operator import floordiv, mul, neg, sub
 
@@ -367,24 +367,20 @@ def is_integrally_convex(s: PointSet) -> Verdict:
               for n, e in integer_facets(s.points)]
     members = s.member_set()
     lo, hi = bounding_box(s.points)
-    # one unit cell per axis position; a degenerate axis keeps one cell
-    for cell in product(*(range(l, max(h, l + 1)) for l, h in zip(lo, hi))):
+    # the least corners c of the cells where no n . x - e is < 0 on the
+    # whole cell, n . c - e + up >= 0; a degenerate axis keeps one cell
+    reach = [(n, e - up) for n, e, up, _ in ranges]
+    for cell in lattice_points(reach, lo, tuple(max(h - 1, l) for l, h in zip(lo, hi))):
         corners = list(box_points(cell, tuple(z + 1 for z in cell)))
         member = [c in members for c in corners]
         if all(member):
             continue  # conv(S) meets the cell inside the cell = conv(corners)
-        rows = []
-        for n, e, up, down in ranges:
-            v = sum(map(mul, n, cell)) - e
-            if v + up < 0:
-                break  # n . x - e < 0 on the whole cell: conv(S) misses it
-            if v + down <= 0:
-                rows.append((n, v))  # n . x - e can be 0 on the cell
-        else:
-            found = _failing_vertex(rows, corners, member, halves, faces)
-            if found is not None:
-                x, den = found
-                return Verdict(False, CellWitness(cell, tuple(Fraction(v, den) for v in x)))
+        rows = [(n, v) for n, e, _, down in ranges  # n . x - e can be 0 on the cell
+                if (v := sum(map(mul, n, cell)) - e) + down <= 0]
+        found = _failing_vertex(rows, corners, member, halves, faces)
+        if found is not None:
+            x, den = found
+            return Verdict(False, CellWitness(cell, tuple(Fraction(v, den) for v in x)))
     return Verdict(True)
 
 

@@ -710,15 +710,20 @@ def _seed_integrally_convex(s: PointSet) -> Verdict:
     return _row_sums_cells(s, _seed_failing_vertex)
 
 
-def _solves(decide, s: PointSet) -> int:
-    """The ``minor_adjugate`` calls that ``decide(s)`` makes beyond those
-    of ``integer_facets``, i.e. the face search's solves."""
+def _decided(decide, s: PointSet) -> tuple[str, int]:
+    """``repr(decide(s))`` and the ``minor_adjugate`` calls it makes beyond
+    those of ``integer_facets``, i.e. the face search's solves."""
     with mock.patch.object(linalg, "minor_adjugate", wraps=linalg.minor_adjugate) as spy:
-        decide(s)
+        verdict = decide(s)
         total = spy.call_count
         spy.reset_mock()
         integer_facets(s.points)
-        return total - spy.call_count
+        return repr(verdict), total - spy.call_count
+
+
+def _solves(decide, s: PointSet) -> int:
+    """The face search's solves in ``decide(s)``."""
+    return _decided(decide, s)[1]
 
 
 @st.composite
@@ -743,6 +748,23 @@ def _spread_subset(draw):
     coord = st.integers(-4, 4)
     dim = draw(st.integers(1, 4))
     return PointSet.of(draw(st.sets(st.tuples(*[coord] * dim), min_size=1, max_size=8)))
+
+
+@st.composite
+def _thin_subset(draw):
+    """A long lattice line, band or plane in any direction, p + s u + t w
+    for 0 <= s < L and 0 <= t < M (a line for M = 1, a band for M = 2),
+    with up to 3 points dropped; its bounding box spans up to 12 per axis
+    in Z^3 and 6 in Z^4, and most of the box's cells miss conv(S)."""
+    dim = draw(st.sampled_from((3, 4)))
+    extent = draw(st.integers(6, 12) if dim == 3 else st.integers(3, 6))
+    vec = st.tuples(*[st.integers(-1, 1)] * dim)
+    p, u, w = draw(st.tuples(*[st.integers(-2, 2)] * dim)), draw(vec.filter(any)), draw(vec)
+    width = draw(st.sampled_from((1, 2, 3, extent // 2)))
+    pts = sorted({tuple(a + s * b + t * c for a, b, c in zip(p, u, w))
+                  for s in range(extent + 2 - width) for t in range(width)})
+    dropped = draw(st.sets(st.integers(0, len(pts) - 1), max_size=min(3, len(pts) - 1)))
+    return PointSet.of([q for i, q in enumerate(pts) if i not in dropped])
 
 
 def _face_signs(s: PointSet, cell, free, low):
@@ -825,10 +847,10 @@ class TestCornerSigns:
     replaced: the same verdicts, witnesses and solves."""
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-    @given(st.one_of(_box_subset(), _tesseract_subset(), _flat_subset(), _spread_subset()))
+    @given(st.one_of(_box_subset(), _tesseract_subset(), _flat_subset(), _spread_subset(),
+                     _thin_subset()))
     def test_matches_row_sums(self, s):
-        assert repr(is_integrally_convex(s)) == repr(_row_sums_integrally_convex(s))
-        assert _solves(is_integrally_convex, s) == _solves(_row_sums_integrally_convex, s)
+        assert _decided(is_integrally_convex, s) == _decided(_row_sums_integrally_convex, s)
 
     def test_cells_the_range_test_skips_build_no_corner_signs(self):
         """{(t, t, t)} meets few cells of its bounding box: only the cells
@@ -846,6 +868,16 @@ class TestCornerSigns:
         assert spy.call_count == sum(map(reached, cells)) < len(cells) // 8
         # at least the 50 cells that meet the segment itself
         assert spy.call_count >= sum(max(c) - min(c) <= 1 for c in cells) == 50
+
+    def test_corners_only_on_reached_cells(self):
+        """The cell scan builds corners only on the 62 cells of the 512 in
+        the bounding box of {(t, t, t) : t <= 8} that every facet's range
+        reaches, not on every cell of the box."""
+        s = PointSet.of([(t, t, t) for t in range(9)])
+        with mock.patch.object(convexity, "box_points", wraps=box_points) as spy:
+            assert is_integrally_convex(s).holds
+        assert spy.call_count == 62
+        assert all(hi == tuple(z + 1 for z in lo) for (lo, hi), _ in spy.call_args_list)
 
 
 class TestFaceProperties:
