@@ -6,15 +6,17 @@ compares pairs of separation conditions.  Any (set, partition) pair on
 which the two conditions disagree is reported with both sides' points
 and can be replayed through the decision procedures.
 
+Both harnesses decide through ``CONDITIONS``, which answers for a set's
+bipartitions by number.  The parallelogram conditions read one table
+per set: the condition forbids equal-sum multisets on opposite sides,
+so the set's equal-sum table gives clauses, and a backtracking search
+over the points reaches only the partitions that break none of them.
+Flag search skips a partition that a functional it found earlier for
+the same set already splits at a threshold.
+
 The hunt for three-dimensional counterexamples samples lattice point
 sets of random small polytopes, keeps the integrally convex ones, and
-looks for bipartitions that satisfy the 3-parallelogram condition yet
-admit no separating flag.  It does not test the bipartitions one by
-one: the condition forbids equal-sum multisets on opposite sides, so
-each set's equal-sum table gives clauses, and a backtracking search
-over the points reaches only the partitions that break none of them.
-Flag search runs on those, except the ones that a functional it found
-earlier for the same set already splits at a threshold.
+asks the flag test only about their 3-parallelogram partitions.
 """
 
 from __future__ import annotations
@@ -28,20 +30,13 @@ from itertools import combinations, combinations_with_replacement
 from math import prod
 from operator import mul
 
-from .conditions import Partition, check_parallelogram, check_ray, search_flag
+from .conditions import Partition, check_ray, search_flag
 from .convexity import is_hole_free, is_integrally_convex, is_k_convex
 from .errors import InstanceFormatError, read_json_object
 from .geometry import IntPoint, PointSet, box_points, lattice_points_in_conv, point_codes
 
 # Most cells a grid may have: its 2**cells subsets are enumerated.
 MAX_GRID_CELLS = 24
-
-CONDITIONS = {
-    "parallelogram-2": lambda p: check_parallelogram(p, 2),
-    "parallelogram-3": lambda p: check_parallelogram(p, 3),
-    "ray": check_ray,
-    "flag": search_flag,
-}
 
 # family name -> the decision a member must pass (None: every subset)
 FAMILY_FILTERS = {
@@ -162,6 +157,31 @@ def parallelogram_masks(s: PointSet, k: int) -> list[int]:
     return sorted(mask for mask in leaves if mask != everything)
 
 
+def _flag_test(s: PointSet):
+    """The flag condition on s's bipartition numbers.  Each functional
+    found adds its threshold cuts on s, which then need no LP."""
+    cut: set[int] = set()
+
+    def holds(mask: int) -> bool:
+        if mask in cut:
+            return True
+        verdict = search_flag(_split(s, mask))
+        if verdict.holds:
+            cut.update(_threshold_cuts(s, verdict.witness.functionals[0].normal))
+        return verdict.holds
+
+    return holds
+
+
+# condition name -> for a set s, the test of its ``bipartitions`` numbers
+CONDITIONS = {
+    "parallelogram-2": lambda s: set(parallelogram_masks(s, 2)).__contains__,
+    "parallelogram-3": lambda s: set(parallelogram_masks(s, 3)).__contains__,
+    "ray": lambda s: lambda mask: check_ray(_split(s, mask)).holds,
+    "flag": _flag_test,
+}
+
+
 @dataclass(frozen=True)
 class Violation:
     """A bipartition on which the two tested conditions disagree."""
@@ -207,24 +227,14 @@ class EquivalenceReport:
 
 def _check_set(args):
     mask, s, left, right = args
+    left_holds, right_holds = CONDITIONS[left](s), CONDITIONS[right](s)
+    n_partitions = (1 << len(s) - 1) - 1
     violations = []
-    n_partitions = 0
-    for partition in bipartitions(s):
-        n_partitions += 1
-        lv = CONDITIONS[left](partition)
-        rv = CONDITIONS[right](partition)
-        if lv.holds != rv.holds:
-            violations.append(
-                Violation(
-                    s.points,
-                    partition.a.points,
-                    partition.b.points,
-                    left,
-                    right,
-                    lv.holds,
-                    rv.holds,
-                )
-            )
+    for number in range(n_partitions):
+        lh, rh = left_holds(number), right_holds(number)
+        if lh != rh:
+            p = _split(s, number)
+            violations.append(Violation(s.points, p.a.points, p.b.points, left, right, lh, rh))
     return mask, n_partitions, violations
 
 
@@ -396,34 +406,17 @@ def hunt_over_set(s: PointSet, report: HuntReport, stream=None) -> None:
 
     ``parallelogram_masks`` lists the partitions with the condition;
     every other one breaks a clause, which is a 3-parallelogram failure,
-    so all of them count as checked.  Flag search runs on the survivors
-    in ascending order, and each functional it finds adds its threshold
-    cuts on s to ``cut``: those partitions are flag-separable, so a
-    survivor found there needs no LP and is no counterexample.
+    so all of them count as checked.  Only the survivors reach the flag
+    test of ``CONDITIONS``, in ascending order.
     """
-    if len(s) < 2:
-        return
-    report.partitions_checked += (1 << len(s) - 1) - 1
-    cut: set[int] = set()
+    report.partitions_checked += (1 << max(len(s) - 1, 0)) - 1
+    flag = CONDITIONS["flag"](s)
     for mask in parallelogram_masks(s, 3):
-        if mask in cut:
-            continue
-        partition = _split(s, mask)
-        verdict = search_flag(partition)
-        if verdict.holds:
-            cut |= _threshold_cuts(s, verdict.witness.functionals[0].normal)
-            continue
-        v = Violation(
-            s.points,
-            partition.a.points,
-            partition.b.points,
-            "parallelogram-3",
-            "flag",
-            True,
-            False,
-        )
-        report.counterexamples.append(v)
-        _emit(stream, {"type": "counterexample", **v.as_dict()})
+        if not flag(mask):
+            p = _split(s, mask)
+            v = Violation(s.points, p.a.points, p.b.points, "parallelogram-3", "flag", True, False)
+            report.counterexamples.append(v)
+            _emit(stream, {"type": "counterexample", **v.as_dict()})
 
 
 def _sample_candidate(rng: random.Random, box: int) -> PointSet:
@@ -464,28 +457,33 @@ def conjecture_hunt(
     """Sample small integrally convex subsets of Z^3 and look for
     bipartitions with the 3-parallelogram condition and no flag.
 
-    Each sample index has its own derived RNG seed, so runs resumed from
-    a checkpoint reproduce exactly the samples a fresh run would draw.
+    ``checkpoint`` is saved every 64 samples and at the end, as the sweep
+    saves its own.  Each sample index has its own derived RNG seed, so
+    runs resumed from a checkpoint reproduce exactly the samples a fresh
+    run would draw.
     """
     report = HuntReport(seed=seed, budget=budget)
     keys = {"seed": seed, "box": box, "max_set_size": max_set_size}
-    start = _resume(checkpoint, "conjecture", report, **keys) if checkpoint else 0
-    for i in range(start, budget):
+    cursor = _resume(checkpoint, "conjecture", report, **keys) if checkpoint else 0
+    for i in range(cursor, budget):
         rng = random.Random(seed * 1000003 + i)
         report.samples += 1
         s = _sample_candidate(rng, box)
         if 2 <= len(s) <= max_set_size and is_integrally_convex(s).holds:
             report.admitted_sets += 1
             hunt_over_set(s, report, stream)
+        cursor = i + 1
         _emit(
             stream,
             {
                 "type": "progress",
-                "cursor": i + 1,
+                "cursor": cursor,
                 "admitted": report.admitted_sets,
                 "partitions": report.partitions_checked,
             },
         )
-        if checkpoint:
-            _save_checkpoint(checkpoint, "conjecture", report, i + 1, **keys)
+        if checkpoint and report.samples % 64 == 0:
+            _save_checkpoint(checkpoint, "conjecture", report, cursor, **keys)
+    if checkpoint:
+        _save_checkpoint(checkpoint, "conjecture", report, cursor, **keys)
     return report

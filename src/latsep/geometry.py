@@ -164,7 +164,7 @@ def lattice_points(pairs, lo, hi):
     for head in box_points(lo[:-1], hi[:-1]):
         t_lo, t_hi = lo[-1], hi[-1]
         for n, c in pairs:
-            a, r = n[-1], c - sum(u * v for u, v in zip(n, head))
+            a, r = n[-1], c - sum(map(mul, n, head))
             if a > 0:
                 t_lo = max(t_lo, -(-r // a))
             elif a < 0:

@@ -4,16 +4,18 @@ import io
 import json
 import random
 import re
+from functools import lru_cache
 from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latsep import explorer
-from latsep.conditions import check_parallelogram, search_flag
+from latsep import conditions, explorer
+from latsep.conditions import check_parallelogram, check_ray, search_flag
 from latsep.errors import InstanceFormatError
 from latsep.explorer import (
+    CONDITIONS,
     HuntReport,
     Violation,
     bipartitions,
@@ -169,6 +171,101 @@ class TestEquivalence:
             assert not cp.exists()
 
 
+# each condition decided on one partition at a time
+_ONE_BY_ONE = {
+    "parallelogram-2": lambda p: check_parallelogram(p, 2),
+    "parallelogram-3": lambda p: check_parallelogram(p, 3),
+    "ray": check_ray,
+    "flag": search_flag,
+}
+
+
+@lru_cache(maxsize=None)
+def _decided(sets):
+    """Every bipartition of each set, in ``bipartitions`` order, with the
+    verdict of every condition, decided one partition at a time."""
+    return [
+        (s, p, {name: decide(p).holds for name, decide in _ONE_BY_ONE.items()})
+        for s in sets
+        for p in bipartitions(s)
+    ]
+
+
+def _brute_force_sweep(sets, left, right):
+    """Reference for the sweep: the partitions checked and the violations."""
+    decided = _decided(tuple(sets))
+    return len(decided), [
+        Violation(s.points, p.a.points, p.b.points, left, right, holds[left], holds[right])
+        for s, p, holds in decided
+        if holds[left] != holds[right]
+    ]
+
+
+def _seeded_sets_in_z3():
+    """Seeded sets of 2, 5 and 7 points in Z^3: random ones, subsets of
+    the unit cube, and points of a line or a plane (lower-dimensional)."""
+    rng = random.Random(33)
+    cube = list(box_points((0, 0, 0), (1, 1, 1)))
+    sets = []
+    for size in (2, 5, 7):
+        base, u, v = (tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3))
+        sets += [
+            [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(size)],
+            rng.sample(cube, size),
+            [tuple(b + t * x for b, x in zip(base, u)) for t in rng.sample(range(-3, 4), size)],
+            [
+                tuple(b + i * x + j * y for b, x, y in zip(base, u, v))
+                for i, j in rng.sample([(i, j) for i in range(3) for j in range(3)], size)
+            ],
+        ]
+    return tuple(PointSet.of(pts, 3) for pts in sets)
+
+
+class TestOneDecisionPath:
+    """The sweep decides through the ``CONDITIONS`` tests of each set's
+    partition numbers; it must give what deciding each partition gives."""
+
+    @pytest.mark.parametrize("dims, family", [((2, 3), "any"), ((3, 3), "hole-free")])
+    def test_sweep_matches_brute_force(self, dims, family):
+        sets = [s for _, s in enumerate_family(dims, family)]
+        for left in CONDITIONS:
+            for right in CONDITIONS:
+                report = explorer.test_equivalence(dims, family, left, right)
+                assert report.sets_checked == len(sets)
+                assert (report.partitions_checked, report.violations) == _brute_force_sweep(
+                    sets, left, right
+                )
+
+    def test_seeded_sets_in_z3_match_brute_force(self):
+        sets = _seeded_sets_in_z3()
+        assert {len(s) for s in sets} >= {2, 7}
+        for left in CONDITIONS:
+            for right in CONDITIONS:
+                checked, found = 0, []
+                for s in sets:
+                    _, n_partitions, violations = explorer._check_set((0, s, left, right))
+                    checked += n_partitions
+                    found += violations
+                assert (checked, found) == _brute_force_sweep(sets, left, right)
+
+    def test_sweep_reuses_found_functionals(self, monkeypatch):
+        # one LP per partition before; the threshold cuts of each found
+        # functional now settle 756 of the 3,612, and the parallelogram
+        # condition is read off one table per set
+        lps, pars = [], []
+        monkeypatch.setattr(explorer, "search_flag", lambda p: lps.append(p) or search_flag(p))
+        for module in (explorer, conditions):
+            monkeypatch.setattr(
+                module,
+                "check_parallelogram",
+                lambda p, k: pars.append(p) or check_parallelogram(p, k),
+                raising=False,
+            )
+        report = explorer.test_equivalence((3, 3), "hole-free", "parallelogram-2", "flag")
+        assert report.partitions_checked == 3612 and len(report.violations) == 4
+        assert len(lps) == 2856 and not pars
+
+
 def _interrupted_dump(obj, fh, **kwargs):
     # a save cut short: part of the state reaches the file, then an interrupt
     fh.write(json.dumps(obj, **kwargs)[:40])
@@ -239,6 +336,27 @@ class TestConjectureHunt:
             fresh.admitted_sets,
             fresh.partitions_checked,
         )
+
+    def test_resume_after_a_periodic_save_matches_fresh(self, tmp_path, monkeypatch):
+        # the hunt saves as the sweep does, every 64 samples and at the
+        # end; one cut off right after its first save resumes from it to
+        # the report of an uncut hunt
+        cp = tmp_path / "hunt.json"
+        save = explorer._save_checkpoint
+
+        class Cut(Exception):
+            pass
+
+        def save_then_cut(*args, **kwargs):
+            save(*args, **kwargs)
+            raise Cut
+
+        with monkeypatch.context() as patch:
+            patch.setattr(explorer, "_save_checkpoint", save_then_cut)
+            with pytest.raises(Cut):
+                conjecture_hunt(100, seed=1, checkpoint=str(cp))
+        assert json.loads(cp.read_text())["cursor"] == 64
+        assert conjecture_hunt(100, seed=1, checkpoint=str(cp)) == conjecture_hunt(100, seed=1)
 
     def test_checkpoint_of_other_settings_is_refused(self, tmp_path):
         cp = tmp_path / "hunt.json"
